@@ -2,14 +2,15 @@
 
 Usage, from the root of a checkout:
 
-    python3 perfbench/run.py --workload oracle --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload oracle --seed 1 --seconds 20 --trace 0
 
 One closed-loop client in one process calls `basicsets.cli.main` with argv
 lists, one operation after another, over the workload's whole input list
 (a pass) until `--seconds` of passes have been measured.  Every output is
 checked by `verify.py`, which shares no code with the library.
 
-`--trace 0` prints the end-to-end metrics.  `--trace 1` runs untraced passes
+`--trace 0` prints the end-to-end metrics, with operation times in the
+reference units of `speed.py`.  `--trace 1` runs untraced passes
 for half the time and traced passes for the other half, and prints the
 per-layer metrics of the traced passes, per pass, plus the tracing overhead.
 
@@ -32,18 +33,20 @@ import shutil
 import statistics
 import sys
 import traceback
-from math import ceil
 from pathlib import Path
 from time import perf_counter
 
 import inputs
 import verify
 from spans import Tracer, unit_of
+from speed import NOMINAL_SECONDS, ReferenceClock
 
 WORK = Path(__file__).resolve().parent / "_work"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-SETUP_REPEATS = 5
+# setup_s is the median of SETUP_BATCH set-ups before each pass, SETUP_REPEATS at least.
+SETUP_BATCH = 4
+SETUP_REPEATS = 16
 DEFAULT_SEED = 0
 
 # sha256 of "<exit code>\n<stdout>" over one pass, recorded at the commit
@@ -58,19 +61,17 @@ SURVEY_CSV_DIGEST = "5dd4acb98c6fbf376c704d1f19df4b85e4f3fdc5c80fdccb7abcdd86d8b
 PARITY_CSV_DIGEST = "21c66ae88fe7b6a6739eb648529bb091c31ce16f4796dabc46c8f26cd73dde10"
 
 
-def percentile(values, q: float) -> float:
-    """Nearest-rank percentile; defined for any nonempty sample."""
-    ordered = sorted(values)
-    return ordered[max(0, ceil(q * len(ordered)) - 1)]
-
-
-def tail_percentile(values, q: float) -> float:
-    """The q-th percentile when at least ten samples lie beyond it, else the
-    median: with fewer samples (the survey has one operation per pass) the
-    tail is not measurable, and the slowest pass would only report noise."""
-    if len(values) * (1 - q) >= 10:
-        return percentile(values, q)
-    return percentile(values, 0.5)
+def latency_figures(table, passes: range) -> tuple[float, float, float]:
+    """(typical pass time, p50, p90) from `table`, one row of operation times
+    per pass.  An operation's typical time is its median across `passes`,
+    which keeps one slow pass from moving it; the figures are the sum and
+    the deciles of those over the operations.  The survey is one operation
+    per pass, too few for a tail, so there both deciles are its pass time."""
+    typical = [statistics.median(table[p][i] for p in passes) for i in range(len(table[0]))]
+    if len(typical) == 1:
+        return typical[0], typical[0], typical[0]
+    deciles = statistics.quantiles(typical, n=10, method="inclusive")
+    return sum(typical), deciles[4], deciles[8]
 
 
 def import_library():
@@ -83,8 +84,8 @@ def import_library():
     return cli
 
 
-def call(argv) -> tuple[int | None, str, float]:
-    """Run one CLI operation; returns (exit code or None on a crash, stdout, seconds)."""
+def call(argv) -> tuple[int | None, str, float, float]:
+    """Run one CLI operation; returns (exit code or None on a crash, stdout, start, end)."""
     cli = sys.modules["basicsets.cli"]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -96,35 +97,36 @@ def call(argv) -> tuple[int | None, str, float]:
         except Exception:
             code = None
             traceback.print_exc()
-        elapsed = perf_counter() - start
+        end = perf_counter()
     if code is None or err.getvalue():
         sys.stderr.write(f"{' '.join(argv[:2])}: {err.getvalue()}")
-    return code, out.getvalue(), elapsed
+    return code, out.getvalue(), start, end
 
 
 def set_up(workload: str, seed: int):
-    """Import, input generation and warm-up: what a user pays before the first result."""
-    start = perf_counter()
-    import_library()
-    ops = inputs.build(workload, seed, WORK)
-    for argv in inputs.warmup_ops(workload, ops):
-        call(argv)
-    return perf_counter() - start, ops
+    """Import, input generation and warm-up: what a user pays before the first
+    result.  Returns (seconds, reference units, inputs)."""
+    with ReferenceClock() as clock:
+        start = perf_counter()
+        import_library()
+        ops = inputs.build(workload, seed, WORK)
+        for argv in inputs.warmup_ops(workload, ops):
+            call(argv)
+        end = perf_counter()
+    return *clock.measure(start, end), ops
 
 
 class Passes:
-    """Timed passes over one input list; outputs of the first pass are kept.
+    """Timed passes over one input list; outputs of the first pass are kept."""
 
-    A shared machine has slow phases of a few seconds, so a pass's typical
-    time is the sum over its operations of each one's median latency across
-    the passes, rather than the time of any one pass.
-    """
-
-    def __init__(self, ops):
+    def __init__(self, ops, reference: bool):
         self.ops = ops
+        self.reference = reference  # time passes in reference units too
         self.first: list[tuple[int | None, str]] | None = None
         self.walls: list[float] = []
-        self.latencies: list[list[float]] = []  # per pass, per operation
+        self.latencies: list[list[float]] = []  # seconds, per pass, per operation
+        self.units: list[list[float]] = []      # reference units, likewise
+        self.reference_s: list[float] = []     # median reference time, per pass
         self.mismatches = 0
 
     def run(self, seconds: float, before_pass=None, after_pass=None) -> range:
@@ -133,14 +135,21 @@ class Passes:
         while self.count == begin or sum(self.walls[begin:]) < seconds:
             if before_pass:
                 before_pass(self.count)
-            outputs, latencies = [], []
+            outputs, spans = [], []
             start = perf_counter()
-            for op in self.ops:
-                code, out, elapsed = call(op.argv)
-                outputs.append((code, out))
-                latencies.append(elapsed)
+            with ReferenceClock() if self.reference else contextlib.nullcontext() as clock:
+                for op in self.ops:
+                    code, out, op_start, op_end = call(op.argv)
+                    outputs.append((code, out))
+                    spans.append((op_start, op_end))
             self.walls.append(perf_counter() - start)
-            self.latencies.append(latencies)
+            if clock:
+                measured = [clock.measure(*span) for span in spans]
+                self.latencies.append([m[0] for m in measured])
+                self.units.append([m[1] for m in measured])
+                self.reference_s.append(clock.median_length())
+            else:
+                self.latencies.append([end - start for start, end in spans])
             if after_pass:
                 after_pass()
             if self.first is None:
@@ -149,10 +158,6 @@ class Passes:
                 # Same input, so any difference breaks the determinism contract.
                 self.mismatches += sum(a != b for a, b in zip(outputs, self.first))
         return range(begin, self.count)
-
-    def typical_wall(self, passes: range) -> float:
-        return sum(statistics.median(self.latencies[p][i] for p in passes)
-                   for i in range(len(self.ops)))
 
     @property
     def count(self) -> int:
@@ -202,12 +207,15 @@ def check_outputs(workload: str, seed: int, passes: Passes) -> tuple[int, list[s
         failing = 0
         kinds: dict = {}
         for op, (code, out) in zip(passes.ops, passes.first):
-            if code is None:
-                problem = "operation raised"
-            elif workload == "decompose":
-                problem = verify.decompose_problem(op.points, op.values, code, out)
-            else:
-                problem = verify.check_problem(op.points, code, out)
+            try:
+                if code is None:
+                    problem = "operation raised"
+                elif workload == "decompose":
+                    problem = verify.decompose_problem(op.points, op.values, code, out)
+                else:
+                    problem = verify.check_problem(op.points, code, out)
+            except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
+                problem = f"malformed output: {exc!r}"
             if problem:
                 failing += 1
                 problems.append(f"{op.kind} {op.argv[1]}: {problem}")
@@ -284,7 +292,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", choices=tuple(inputs.BUILDERS), required=True)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     if args.seconds <= 0:
@@ -303,17 +311,20 @@ def main(argv=None) -> int:
 
 
 def run(args) -> int:
-    setups = []
+    setups, setup_units = [], []
 
-    def fresh_setup(done=0):
-        # The first pass follows the initial set-up; later set-ups are spread
-        # between passes so that their median is not taken in one slow phase.
-        if done or not setups:
-            seconds, ops = set_up(args.workload, args.seed)
+    def fresh_setups(count=SETUP_BATCH):
+        # Set-ups are spread between passes so that their median is not
+        # taken in one slow phase of the machine.
+        for _ in range(count):
+            seconds, units, ops = set_up(args.workload, args.seed)
             setups.append(seconds)
-            return ops
+            setup_units.append(units)
+        return ops
 
-    passes = Passes(fresh_setup())
+    # A traced run goes without the reference clock: its samples would land
+    # in the self time of whatever span is open.
+    passes = Passes(fresh_setups(), reference=not args.trace)
     metrics: dict = {}
     info: dict = {"workload": args.workload, "seed": args.seed,
                   "python": platform.python_version(),
@@ -324,23 +335,31 @@ def run(args) -> int:
         rows = csv_rows(passes.first[0][1]) if args.workload == "survey" else 0
         traced, metrics, absent = traced_metrics(passes, args.seconds / 2, rows)
         metrics["trace.overhead_ratio"] = {
-            "value": passes.typical_wall(traced) / passes.typical_wall(untraced),
+            "value": (latency_figures(passes.latencies, traced)[0]
+                      / latency_figures(passes.latencies, untraced)[0]),
             "unit": "ratio"}
         info.update(untraced_passes=len(untraced), traced_passes=len(traced), absent=absent)
     else:
-        measured = passes.run(args.seconds, before_pass=fresh_setup)
+        measured = passes.run(args.seconds, before_pass=lambda done: done and fresh_setups())
         while len(setups) < SETUP_REPEATS:
-            fresh_setup(len(setups))
-        samples_ms = [x * 1000 for p in measured for x in passes.latencies[p]]
+            fresh_setups(1)
+        wall, p50, p90 = latency_figures(passes.units, measured)
         metrics = {
-            "wall_s": {"value": passes.typical_wall(measured), "unit": "s"},
-            "setup_s": {"value": statistics.median(setups), "unit": "s"},
-            "op_p50_ms": {"value": percentile(samples_ms, 0.5), "unit": "ms"},
-            "op_p90_ms": {"value": tail_percentile(samples_ms, 0.9), "unit": "ms"},
+            "wall_ref": {"value": wall, "unit": "ref"},
+            "op_p50_ref": {"value": p50, "unit": "ref"},
+            "op_p90_ref": {"value": p90, "unit": "ref"},
+            "setup_s": {"value": statistics.median(setup_units) * NOMINAL_SECONDS, "unit": "s"},
             "peak_rss_mib": {"value": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
                              "unit": "MiB"},
         }
-        info.update(setups_s=setups, samples=len(samples_ms))
+        # The same figures in seconds, which drift with the machine's speed.
+        wall_s, p50_s, p90_s = latency_figures(passes.latencies, measured)
+        info.update(wall_s={"value": wall_s, "unit": "s"},
+                    op_p50_ms={"value": p50_s * 1000, "unit": "ms"},
+                    op_p90_ms={"value": p90_s * 1000, "unit": "ms"},
+                    reference_ms={"value": statistics.median(passes.reference_s) * 1000,
+                                  "unit": "ms"},
+                    setups_s=setups, samples=len(measured) * len(passes.ops))
     info.update(pass_walls_s=passes.walls)
 
     failed, problems, props = check_outputs(args.workload, args.seed, passes)

@@ -9,8 +9,9 @@ and stay in memory until the run reads them, so memory does not grow with
 the number of calls.
 
 Probes add computed work counts at the same boundaries: cells handed to an
-elimination, eliminations, and fast-route verdicts.  A probe whose function
-no longer exists is skipped, and the metrics it feeds are reported absent.
+elimination, eliminations, fast-route verdicts, and oracle calls made while
+a `search` span is open.  A probe whose function no longer exists is
+skipped, and the metrics it feeds are reported absent.
 """
 
 import functools
@@ -22,27 +23,33 @@ from time import perf_counter_ns
 LAYERS = ("cli", "core", "decide", "ratlin", "graphs", "search")
 
 
-def _rref_cells(args, kwargs, result, counts):
+def _rref_cells(tracer, args, result):
     m = args[0]
-    counts["ratlin.eliminations"] += 1
-    counts["ratlin.cells"] += m.nrows * m.ncols
+    tracer.counts["ratlin.eliminations"] += 1
+    tracer.counts["ratlin.cells"] += m.nrows * m.ncols
 
 
-def _bareiss_cells(args, kwargs, result, counts):
+def _bareiss_cells(tracer, args, result):
     rows, ncols = args[0], args[1]
-    counts["ratlin.eliminations"] += 1
-    counts["ratlin.cells"] += len(rows) * ncols
+    tracer.counts["ratlin.eliminations"] += 1
+    tracer.counts["ratlin.cells"] += len(rows) * ncols
 
 
-def _fast_verdict(args, kwargs, result, counts):
-    counts["graphs.fast_attempts"] += 1
+def _fast_verdict(tracer, args, result):
+    tracer.counts["graphs.fast_attempts"] += 1
     kind = getattr(getattr(result, "kind", None), "value", None)
     if kind != "inapplicable":
-        counts["graphs.fast_decided"] += 1
+        tracer.counts["graphs.fast_decided"] += 1
+
+
+def _oracle_call(tracer, args, result):
+    if any(key.startswith("search.") for key, _ in tracer.stack):
+        tracer.counts["search.oracle_calls"] += 1
 
 
 # Traced functions that also feed a count.
-SPAN_PROBES = {"ratlin.rref": _rref_cells, "graphs.fast_is_basic": _fast_verdict}
+SPAN_PROBES = {"ratlin.rref": _rref_cells, "graphs.fast_is_basic": _fast_verdict,
+               "decide.is_basic": _oracle_call}
 # Private functions wrapped for a count only; their time stays with the caller.
 COUNT_PROBES = {"ratlin._integer_rank": _bareiss_cells}
 ELIMINATIONS = {"ratlin.rref", "ratlin._integer_rank"}
@@ -65,7 +72,6 @@ class Tracer:
     def __init__(self):
         self.stack: list[list] = []          # [key, child_ns] per open span
         self.totals: dict[str, list[int]] = {}  # key -> [calls, self_ns, total_ns]
-        self.edges: Counter = Counter()      # (parent key, key) -> calls
         self.counts: Counter = Counter()
         self.probed: set[str] = set()
         self.layers: list[str] = []
@@ -75,11 +81,10 @@ class Tracer:
     def reset(self) -> None:
         for record in self.totals.values():
             record[:] = [0, 0, 0]
-        self.edges.clear()
         self.counts.clear()
 
     def _span(self, key: str, fn, probe=None):
-        stack, active, edges, counts = self.stack, self._active, self.edges, self.counts
+        stack, active = self.stack, self._active
         rec = self.totals.setdefault(key, [0, 0, 0])
 
         @functools.wraps(fn)
@@ -101,20 +106,17 @@ class Tracer:
                     rec[2] += elapsed
                 if parent is not None:
                     parent[1] += elapsed
-                edges[(parent[0] if parent else None, key)] += 1
             if probe is not None:
-                probe(args, kwargs, result, counts)
+                probe(self, args, result)
             return result
 
         return wrapper
 
     def _counter(self, fn, probe):
-        counts = self.counts
-
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
             result = fn(*args, **kwargs)
-            probe(args, kwargs, result, counts)
+            probe(self, args, result)
             return result
 
         return wrapper
@@ -183,11 +185,6 @@ class Tracer:
                 self_ns += s
         return calls, self_ns
 
-    def calls_from(self, parent_layer: str, key: str) -> int:
-        return sum(n for (parent, child), n in self.edges.items()
-                   if child == key and parent is not None
-                   and parent.split(".", 1)[0] == parent_layer)
-
     def pass_metrics(self, ops: int, rows: int) -> dict:
         """Per-layer metrics of one pass since the last reset.
 
@@ -224,8 +221,7 @@ class Tracer:
         out["graphs.decided_ratio"] = (
             None if "graphs.fast_is_basic" not in totals
             else _ratio(counts["graphs.fast_decided"], counts["graphs.fast_attempts"]))
-        oracle = self.calls_from("search", "decide.is_basic") \
-            if "decide.is_basic" in totals else None
+        oracle = counts["search.oracle_calls"] if "decide.is_basic" in self.probed else None
         minimize = calls("search.minimize_certificate")
         out["search.oracle_calls"] = oracle
         out["search.rows"] = rows
