@@ -123,7 +123,11 @@ class PointSet:
 ExactScalar = int | str | Fraction
 
 
-def _exact(value: ExactScalar) -> Fraction:
+def _exact(value: ExactScalar) -> int | Fraction:
+    # An int and an equal Fraction hash and compare alike, so plain ints
+    # rank and collide exactly as their Fraction forms would.
+    if type(value) is int:
+        return value
     if isinstance(value, bool) or isinstance(value, float):
         raise TypeError(f"coordinate {value!r} is not exact; use integers or rational text")
     if isinstance(value, (int, str, Fraction)):
@@ -145,21 +149,21 @@ def canonicalize_points(raw_points: Iterable[Sequence[ExactScalar]],
             dim = len(p)
         if len(p) != dim:
             raise ValueError(f"point {p} does not have {dim} coordinates")
-        rows.append(tuple(_exact(c) for c in p))
+        rows.append(tuple(map(_exact, p)))
     if dim is not None and dim not in (2, 3):
         raise ValueError(f"dimension must be 2 or 3, got {dim}")
-    seen: set[tuple[Fraction, ...]] = set()
+    seen: set[tuple[int | Fraction, ...]] = set()
     for p in rows:
         if p in seen:
             raise DuplicatePoint(f"point {tuple(str(c) for c in p)} occurs more than once")
         seen.add(p)
     if not rows:
         return []
-    ranks = []
-    for a in range(dim):
-        distinct = sorted({p[a] for p in rows})
-        ranks.append({v: r for r, v in enumerate(distinct)})
-    return [tuple(ranks[a][p[a]] for a in range(dim)) for p in rows]
+    columns = []
+    for axis_values in zip(*rows):
+        rank = {v: r for r, v in enumerate(sorted(set(axis_values)))}
+        columns.append(map(rank.__getitem__, axis_values))
+    return list(zip(*columns))
 
 
 def canonicalize(raw_points: Iterable[Sequence[ExactScalar]],
@@ -240,7 +244,8 @@ def read_points_json(text: str) -> tuple[int, list[Point]]:
     for entry in raw:
         if (not isinstance(entry, list) or len(entry) != dim
                 or any(isinstance(c, bool) or not isinstance(c, int) for c in entry)):
-            raise ParseError(f"point {entry!r} is not an array of {dim} integers")
+            hint = "" if "dim" in data else f' ("dim" is missing, so {dim} is assumed)'
+            raise ParseError(f"point {entry!r} is not an array of {dim} integers{hint}")
         point = tuple(entry)
         if point in seen:
             raise ParseError(f"duplicate point {point}")

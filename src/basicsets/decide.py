@@ -8,6 +8,7 @@ is a certificate of non-basicness: nonzero weights on the points whose sum
 over every slice is zero.
 """
 
+import heapq
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -193,20 +194,33 @@ def peel(ps: PointSet) -> tuple[list[Point], PointSet]:
     a nonempty core is merely inconclusive.  Ties go to the point that is
     lowest in canonical order.
     """
-    remaining = list(ps.points)
+    points = ps.points
+    axes = axes_for(ps.dim)
+    members: dict[tuple[int, int], list[int]] = {}
+    for i, p in enumerate(points):
+        for a in axes:
+            members.setdefault((a, p[a]), []).append(i)
+    count = {key: len(group) for key, group in members.items()}
+    alive = [True] * len(points)
+    # Counts only fall, so a lonely point stays lonely until it is removed:
+    # the heap holds every lonely live point once, least index on top.
+    lonely = sorted({group[0] for group in members.values() if len(group) == 1})
+    queued = set(lonely)
     order: list[Point] = []
-    while remaining:
-        groups: dict[tuple[int, int], list[Point]] = {}
-        for p in remaining:
-            for a in axes_for(ps.dim):
-                groups.setdefault((a, p[a]), []).append(p)
-        lonely = sorted({g[0] for g in groups.values() if len(g) == 1})
-        if not lonely:
-            break
-        victim = lonely[0]
-        remaining.remove(victim)
-        order.append(victim)
-    return order, PointSet.from_points(remaining, dim=ps.dim)
+    while lonely:
+        i = heapq.heappop(lonely)
+        alive[i] = False
+        order.append(points[i])
+        for a in axes:
+            key = (a, points[i][a])
+            count[key] -= 1
+            if count[key] == 1:
+                last = next(j for j in members[key] if alive[j])
+                if last not in queued:
+                    queued.add(last)
+                    heapq.heappush(lonely, last)
+    core = [p for p, live in zip(points, alive) if live]
+    return order, PointSet.from_points(core, dim=ps.dim)
 
 
 def coloring_certificate(ps: PointSet, coloring: Mapping[Point, Color]) -> Certificate | InvalidColoring:

@@ -9,6 +9,7 @@ non-basic sets in space.
 """
 
 import random
+from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
@@ -287,9 +288,9 @@ def is_basic_2d(ps: PointSet) -> Verdict:
 def _forest_path(forest, start: SliceId, goal: SliceId) -> list[int]:
     """Point indices along the unique forest path from start to goal."""
     previous: dict[SliceId, tuple[SliceId, int]] = {start: (start, -1)}
-    queue = [start]
+    queue = deque([start])
     while queue:
-        node = queue.pop(0)
+        node = queue.popleft()
         if node == goal:
             break
         for nxt, via in forest[node]:

@@ -7,6 +7,7 @@ coboundary vectors (rows of the vertex-edge incidence matrix) must be
 linearly independent.
 """
 
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -106,11 +107,11 @@ def bipartite_components(g: Graph) -> list[ComponentInfo]:
         if color[start] is not None:
             continue
         color[start] = 0
-        queue = [start]
+        queue = deque([start])
         members = []
         bipartite = True
         while queue:
-            u = queue.pop(0)
+            u = queue.popleft()
             members.append(u)
             for v, _ in adj[u]:
                 if color[v] is None:

@@ -139,10 +139,14 @@ def enumerate_minimal(grid: GridSpec, max_size: int, *, dedup: bool = False,
     on, only the least set of each grid-symmetry orbit is kept.  The output
     is identical for any worker count.
     """
+    if max_size < 0:
+        raise ValueError(f"max size must be at least 0, got {max_size}")
+    if workers < 1:
+        raise ValueError(f"worker count must be at least 1, got {workers}")
     grid_points = grid.points()
     n = len(grid_points)
     top = min(max_size, n)
-    if top < 0 or sum(comb(n, k) for k in range(1, top + 1)) > budget:
+    if sum(comb(n, k) for k in range(1, top + 1)) > budget:
         raise BudgetExceeded(f"subset count exceeds the budget of {budget}")
     deadline = time.monotonic() + time_limit if time_limit is not None else None
     known: list[int] = []

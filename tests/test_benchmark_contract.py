@@ -1,0 +1,33 @@
+"""The benchmark's result line keeps every metric that BENCHMARK.json declares.
+
+Runs the benchmark command briefly on the `fast` workload, untraced and
+traced, and reads its last two lines of output.  A library change that
+removes or renames a function a per-layer metric is computed from shows up
+here as a missing metric or a nonempty `absent` list.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+CONTRACT = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+@pytest.mark.parametrize("trace, group", [("0", "end_to_end"), ("1", "per_layer")])
+def test_fast_run_reports_every_declared_metric(trace, group):
+    command = [sys.executable, *CONTRACT["command"][1:]]
+    proc = subprocess.run([*command, "--workload", "fast", "--seconds", "0.1",
+                           "--trace", trace],
+                          cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    *_, info_line, result_line = proc.stdout.strip().splitlines()
+    result = json.loads(result_line)
+    assert set(result) == {"correct", "attempted", "failed", "metrics"}
+    assert result["correct"] is True and result["failed"] == 0
+    declared = {metric["name"] for metric in CONTRACT[group]}
+    assert declared <= set(result["metrics"])
+    assert json.loads(info_line)["info"].get("absent", []) == []

@@ -87,6 +87,13 @@ def test_check_reads_stdin(tmp_path, capsys, monkeypatch):
     assert code == 1
 
 
+def test_check_json_without_dim_names_the_missing_key(tmp_path, capsys):
+    path = write(tmp_path, "flat.json", '{"points": [[0, 0], [1, 1]]}')
+    code, _, err = run_cli(["check", path], capsys)
+    assert code == 2
+    assert '"dim" is missing' in err
+
+
 def test_decompose_example1(tmp_path, capsys, schema):
     points = write(tmp_path, "pts.txt", EXAMPLE1_TEXT)
     values = write(tmp_path, "vals.txt",
@@ -225,6 +232,20 @@ def test_search_budget_exit_3(capsys):
     code, _, err = run_cli(["search", "--grid", "3", "3", "3", "--max-size", "9",
                             "--budget", "10"], capsys)
     assert code == 3 and "budget" in err.lower()
+
+
+def test_search_negative_max_size_exit_2(capsys):
+    code, _, err = run_cli(["search", "--grid", "2", "2", "2", "--max-size", "-1"], capsys)
+    assert code == 2
+    assert "max size" in err and "budget" not in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_search_rejects_worker_count_below_one(capsys, workers):
+    code, _, err = run_cli(["search", "--grid", "2", "2", "2", "--max-size", "4",
+                            "--workers", workers], capsys)
+    assert code == 2
+    assert "worker count" in err
 
 
 def test_fixtures_listing_and_round_trip(tmp_path, capsys, schema):

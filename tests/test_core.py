@@ -39,6 +39,23 @@ def test_canonicalize_accepts_exact_rationals():
     assert ps.points == ((0, 0, 0), (1, 0, 0), (2, 0, 0))
 
 
+def test_int_str_and_fraction_labels_canonicalize_alike():
+    def as_str(pts):
+        return [tuple(str(c) for c in p) for p in pts]
+
+    def as_fraction(pts):
+        return [tuple(Fraction(c) for c in p) for p in pts]
+
+    assert canonicalize(CUBE8) == canonicalize(as_str(CUBE8)) == canonicalize(as_fraction(CUBE8))
+    doubled = CUBE8 + [CUBE8[2]]
+    messages = set()
+    for raw in (doubled, as_str(doubled), as_fraction(doubled)):
+        with pytest.raises(DuplicatePoint) as info:
+            canonicalize(raw)
+        messages.add(str(info.value))
+    assert messages == {"point ('1', '2', '0') occurs more than once"}
+
+
 def test_canonicalize_rejects_floats():
     with pytest.raises(TypeError):
         canonicalize([(0.5, 0, 0)])

@@ -4,12 +4,14 @@ from itertools import product
 from math import lcm
 
 import pytest
+from hypothesis import given, strategies as st
 
 from basicsets.core import Axis, PointSet, SliceId, canonicalize, slices_of
 from basicsets.decide import (Certificate, Color, Decomposition, DomainMismatch,
                               InvalidColoring, Verdict, Witness, certificate_valid,
                               coloring_certificate, decompose, indicator_witness,
                               is_basic, peel, slice_matrix, slice_sums)
+from basicsets.generators import closed_lightning
 
 EX2_CERT = (2, -1, -1, -1, 1)
 # weights in canonical (lexicographic) point order; the four +1 points are one
@@ -164,22 +166,68 @@ def test_peel_far_point_leaves_rectangle():
     assert core.points == tuple(sorted(rect))
 
 
+def _quadratic_peel(ps, pick=min):
+    """Reference peel: regroup the remainder after every single removal and
+    strip the lonely point that `pick` chooses from the sorted candidates."""
+    remaining = list(ps.points)
+    order = []
+    while remaining:
+        groups = {}
+        for p in remaining:
+            for a in range(ps.dim):
+                groups.setdefault((a, p[a]), []).append(p)
+        lonely = sorted({g[0] for g in groups.values() if len(g) == 1})
+        if not lonely:
+            break
+        victim = pick(lonely)
+        remaining.remove(victim)
+        order.append(victim)
+    return order, PointSet.from_points(remaining, dim=ps.dim)
+
+
 def test_peel_outcome_is_order_independent(corpus_random333):
     rng = random.Random(99)
     for ps in corpus_random333[:300]:
         _, core = peel(ps)
         # re-peel with random victim choices instead of the lowest point
-        remaining = list(ps.points)
-        while remaining:
-            groups = {}
-            for p in remaining:
-                for a in range(3):
-                    groups.setdefault((a, p[a]), []).append(p)
-            lonely = sorted({g[0] for g in groups.values() if len(g) == 1})
-            if not lonely:
-                break
-            remaining.remove(rng.choice(lonely))
-        assert tuple(sorted(remaining)) == core.points
+        assert _quadratic_peel(ps, pick=rng.choice)[1] == core
+
+
+def _assert_peel_matches_reference(ps):
+    order, core = peel(ps)
+    want_order, want_core = _quadratic_peel(ps)
+    assert order == want_order
+    assert core == want_core
+
+
+def _point_sets(dim, side, max_size):
+    coords = st.tuples(*[st.integers(0, side - 1)] * dim)
+    return st.lists(coords, min_size=1, max_size=max_size, unique=True).map(canonicalize)
+
+
+@given(_point_sets(2, 6, 30))
+def test_peel_matches_reference_on_random_2d_sets(ps):
+    _assert_peel_matches_reference(ps)
+
+
+@given(_point_sets(3, 5, 40))
+def test_peel_matches_reference_on_random_3d_sets(ps):
+    _assert_peel_matches_reference(ps)
+
+
+@given(st.sampled_from(list(Axis)), st.integers(2, 8), st.integers(0, 10**6),
+       st.lists(st.tuples(*[st.integers(0, 9)] * 3), max_size=15))
+def test_peel_matches_reference_on_closed_lightnings(axis, l, seed, extra):
+    vertices = set(closed_lightning(SliceId(axis, 0), l, seed=seed).vertices())
+    _assert_peel_matches_reference(PointSet.from_points(sorted(vertices | set(extra)), dim=3))
+
+
+@given(st.lists(st.tuples(*[st.integers(0, 3)] * 3), min_size=1, max_size=6, unique=True),
+       st.lists(st.tuples(*[st.integers(0, 8)] * 3), max_size=20))
+def test_peel_matches_reference_on_example1_copies(named_sets, offsets, extra):
+    copies = {tuple(c + 2 * d for c, d in zip(p, offset))
+              for offset in offsets for p in named_sets["example1"].points}
+    _assert_peel_matches_reference(PointSet.from_points(sorted(copies | set(extra)), dim=3))
 
 
 def test_coloring_certificate_on_alternating_rectangle():
