@@ -97,14 +97,9 @@ def _read_values(text: str, dim: int) -> dict[tuple[int, ...], Fraction]:
 
 
 def cmd_decompose(args) -> int:
-    text = _read_text(args.input)
-    if text.lstrip().startswith("{"):
-        dim, rows = core.read_points_json(text)
-    else:
-        rows = core.read_points_text(text)
-        dim = len(rows[0]) if rows else 3
-    ps = core.canonicalize(rows, dim=dim)
-    canon = core.canonicalize_points(rows, dim=dim) if rows else []
+    dim, rows = core.read_points(_read_text(args.input))
+    canon = core.canonicalize_points(rows, dim=dim)
+    ps = PointSet.from_canonical(canon, dim)
     raw_values = _read_values(_read_text(args.values), dim)
     missing = [p for p in rows if p not in raw_values]
     extra = [p for p in raw_values if p not in set(rows)]
@@ -149,7 +144,6 @@ def cmd_graph(args) -> int:
     g = graphs.parse_graph_text(_read_text(args.input))
     components = graphs.bipartite_components(g)
     basic = graphs.graph_is_basic(g)
-    assert basic == graphs.graph_is_basic_rank(g)
     payload = {"command": "graph", "basic": basic,
                "vertices": g.n, "edges": [list(e) for e in g.edges],
                "components": [{"vertices": list(c.vertices), "bipartite": c.bipartite}

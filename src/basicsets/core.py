@@ -97,6 +97,17 @@ class PointSet:
         return cls(dim, points, values)
 
     @classmethod
+    def from_canonical(cls, points: Sequence[Point], dim: int) -> "PointSet":
+        """Set of canonicalize_points output, which is not checked again.
+
+        Those points are distinct and take the values 0..k-1 on every axis.
+        """
+        if not points:
+            return cls.empty(dim)
+        return cls(dim, tuple(sorted(points)),
+                   tuple(tuple(range(max(p[a] for p in points) + 1)) for a in range(dim)))
+
+    @classmethod
     def empty(cls, dim: int = 3) -> "PointSet":
         if dim not in (2, 3):
             raise ValueError(f"dimension must be 2 or 3, got {dim}")
@@ -172,7 +183,8 @@ def canonicalize(raw_points: Iterable[Sequence[ExactScalar]],
     rows = list(raw_points)
     if not rows:
         return PointSet.empty(dim if dim is not None else 3)
-    return PointSet.from_points(canonicalize_points(rows, dim=dim))
+    canon = canonicalize_points(rows, dim=dim)
+    return PointSet.from_canonical(canon, len(canon[0]))
 
 
 def slices_of(ps: PointSet) -> list[tuple[SliceId, tuple[int, ...]]]:
@@ -268,12 +280,24 @@ def parse_points_json(text: str) -> PointSet:
     return canonicalize(rows, dim=dim)
 
 
+def read_points(text: str, dim: int | None = None) -> tuple[int, list[Point]]:
+    """Dimension and raw points of either format, in file order.
+
+    JSON when the first significant byte is '{'.  Text points set their own
+    dimension; `dim` (default 3) only names it when there are none.
+    """
+    if text.lstrip().startswith("{"):
+        return read_points_json(text)
+    rows = read_points_text(text)
+    if rows:
+        return len(rows[0]), rows
+    return (dim if dim is not None else 3), rows
+
+
 def parse_points_auto(text: str, dim: int | None = None) -> PointSet:
-    """Parse either format; JSON when the first significant byte is '{'."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return parse_points_json(text)
-    return parse_points_text(text, dim=dim)
+    """Parse either format (see read_points)."""
+    dim, rows = read_points(text, dim=dim)
+    return canonicalize(rows, dim=dim)
 
 
 def format_points_text(ps: PointSet) -> str:

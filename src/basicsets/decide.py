@@ -134,16 +134,20 @@ def certificate_valid(ps: PointSet, cert: Certificate) -> bool:
 def is_basic(ps: PointSet) -> Verdict:
     """Basic iff the slice-matrix rows are independent.
 
-    Non-basic verdicts carry the primitive form of the first canonical
-    kernel basis vector of the transpose system, so repeated runs agree.
+    Point rows go into one sparse integer elimination in canonical order.
+    A non-basic verdict carries the primitive fundamental circuit of the
+    first dependent point, which equals the first canonical kernel basis
+    vector of the transpose system, so repeated runs agree.
     """
     n = len(ps)
-    if n == 0:
+    rows: list[dict[int, int]] = [{} for _ in range(n)]
+    for col, (_, members) in enumerate(slices_of(ps)):
+        for i in members:
+            rows[i][col] = 1
+    tag = ratlin.first_circuit(rows)
+    if tag is None:
         return Verdict(True)
-    transpose = slice_matrix(ps).matrix.transpose()
-    if ratlin.rank(transpose) == n:
-        return Verdict(True)
-    vector = ratlin.kernel_basis(transpose)[0]
+    vector = [tag.get(i, 0) for i in range(n)]
     return Verdict(False, Certificate(tuple(ratlin.primitive_integer(vector))))
 
 

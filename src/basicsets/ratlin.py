@@ -3,12 +3,13 @@
 Dense matrices, deterministic first-nonzero pivoting (arithmetic is exact,
 so there is nothing to stabilize), and a canonical free-variables-zero
 solution convention so that solutions and kernel vectors are reproducible.
-Instances stay desk-scale; nothing here is tuned for size.
+Instances stay desk-scale.  The one sparse routine, first_circuit, finds
+the first dependency among integer rows with Python ints alone.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import Mapping, Sequence
 
 Rat = Fraction
 
@@ -171,6 +172,49 @@ def solve(m: RatMatrix, b: Sequence[Rat | int]) -> list[Fraction]:
     for row, piv in enumerate(pivots):
         x[piv] = reduced.rows[row][m.ncols]
     return x
+
+
+def _combine(u: dict[int, int], s: int, v: Mapping[int, int], t: int) -> dict[int, int]:
+    # s*u + t*v over sparse {key: int} vectors, zeros dropped.
+    out = {k: s * x for k, x in u.items()}
+    for k, x in v.items():
+        y = out.get(k, 0) + t * x
+        if y:
+            out[k] = y
+        else:
+            del out[k]
+    return out
+
+
+def first_circuit(rows: Sequence[Mapping[int, int]]) -> dict[int, int] | None:
+    """The first dependency among sparse integer rows, or None if there is none.
+
+    Rows are {column: value} and go in order into an echelon form keyed by
+    leading (least) column; each stored row carries its combination of input
+    rows as a tag {row index: coefficient}.  The first row that reduces to
+    zero ends the scan, and its tag is returned.  The rows before it are
+    independent, so the tag is their unique dependency with that row up to
+    scale (its fundamental circuit), and its entry for that row is nonzero.
+    Every step divides row and tag by their common gcd.
+    """
+    echelon: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
+    for index, row in enumerate(rows):
+        vec = {c: x for c, x in row.items() if x}
+        tag = {index: 1}
+        while vec and (lead := min(vec)) in echelon:
+            pivot_row, pivot_tag = echelon[lead]
+            g = gcd(vec[lead], pivot_row[lead])
+            s, t = pivot_row[lead] // g, -vec[lead] // g
+            vec = _combine(vec, s, pivot_row, t)
+            tag = _combine(tag, s, pivot_tag, t)
+            content = gcd(*vec.values(), *tag.values())
+            if content != 1:
+                vec = {c: x // content for c, x in vec.items()}
+                tag = {i: x // content for i, x in tag.items()}
+        if not vec:
+            return tag
+        echelon[lead] = (vec, tag)
+    return None
 
 
 def primitive_integer(v: Sequence[Rat | int]) -> list[int]:

@@ -3,7 +3,9 @@
 Runs the benchmark command briefly on the `fast` workload, untraced and
 traced, and reads its last two lines of output.  A library change that
 removes or renames a function a per-layer metric is computed from shows up
-here as a missing metric or a nonempty `absent` list.
+here as a missing metric or a nonempty `absent` list.  A brief `oracle` run
+at the default seed checks its verdicts and certificates against the output
+digest the benchmark records.
 """
 
 import json
@@ -17,17 +19,29 @@ ROOT = Path(__file__).resolve().parent.parent
 CONTRACT = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
-@pytest.mark.parametrize("trace, group", [("0", "end_to_end"), ("1", "per_layer")])
-def test_fast_run_reports_every_declared_metric(trace, group):
+def _run(workload, trace):
+    """(info, result) lines of a 0.1 s benchmark run."""
     command = [sys.executable, *CONTRACT["command"][1:]]
-    proc = subprocess.run([*command, "--workload", "fast", "--seconds", "0.1",
+    proc = subprocess.run([*command, "--workload", workload, "--seconds", "0.1",
                            "--trace", trace],
                           cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     *_, info_line, result_line = proc.stdout.strip().splitlines()
-    result = json.loads(result_line)
+    return json.loads(info_line), json.loads(result_line)
+
+
+@pytest.mark.parametrize("trace, group", [("0", "end_to_end"), ("1", "per_layer")])
+def test_fast_run_reports_every_declared_metric(trace, group):
+    info, result = _run("fast", trace)
     assert set(result) == {"correct", "attempted", "failed", "metrics"}
     assert result["correct"] is True and result["failed"] == 0
     declared = {metric["name"] for metric in CONTRACT[group]}
     assert declared <= set(result["metrics"])
-    assert json.loads(info_line)["info"].get("absent", []) == []
+    assert info["info"].get("absent", []) == []
+
+
+def test_oracle_run_keeps_the_recorded_digest():
+    # the default seed's output digest covers every verdict and certificate
+    info, result = _run("oracle", "0")
+    assert result["correct"] is True and result["failed"] == 0
+    assert info["info"]["seed"] == 0

@@ -3,10 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from basicsets.core import (Axis, DuplicatePoint, ParseError, SliceId,
+from basicsets.core import (Axis, DuplicatePoint, ParseError, PointSet, SliceId,
                             canonicalize, canonicalize_points, format_points_text,
                             parse_points_auto, parse_points_json, parse_points_text,
-                            points_payload, slices_of)
+                            points_payload, read_points, slices_of)
 
 CUBE8 = [(3, 0, 0), (2, 1, 0), (1, 2, 0), (0, 3, 0),
          (0, 0, 1), (1, 1, 1), (2, 2, 1), (3, 3, 1)]
@@ -99,6 +99,13 @@ def test_monotone_relabeling_gives_identical_canonical_form(raw, sx, sy, sz):
     assert canonicalize(stretched) == canonicalize(raw)
 
 
+@given(st.lists(st.tuples(*[st.fractions(-3, 3, max_denominator=3)] * 3),
+                max_size=10, unique=True))
+def test_canonicalize_builds_the_validated_set(raw):
+    want = PointSet.from_points(canonicalize_points(raw), dim=3) if raw else PointSet.empty(3)
+    assert canonicalize(raw) == want
+
+
 def test_slices_of_ex2_lexicographic_grouping():
     # by-hand grouping of the five points in canonical (lexicographic) order:
     # (0,0,0), (0,0,1), (0,1,0), (1,0,0), (1,1,1)
@@ -166,6 +173,13 @@ def test_parse_json_rejects_duplicates():
 def test_parse_auto_sniffs_format():
     assert parse_points_auto('{"dim": 2, "points": [[0, 1]]}').dim == 2
     assert parse_points_auto("0 1\n").dim == 2
+
+
+def test_read_points_sniffs_format_and_keeps_file_order():
+    assert read_points("5 1\n0 7\n") == (2, [(5, 1), (0, 7)])
+    assert read_points(' {"dim": 2, "points": [[5, 1], [0, 7]]}') == (2, [(5, 1), (0, 7)])
+    assert read_points("# nothing\n") == (3, [])
+    assert read_points("", dim=2) == (2, [])
 
 
 def test_text_round_trip_is_exact():

@@ -6,12 +6,14 @@ from math import lcm
 import pytest
 from hypothesis import given, strategies as st
 
+from basicsets import ratlin
 from basicsets.core import Axis, PointSet, SliceId, canonicalize, slices_of
 from basicsets.decide import (Certificate, Color, Decomposition, DomainMismatch,
                               InvalidColoring, Verdict, Witness, certificate_valid,
                               coloring_certificate, decompose, indicator_witness,
                               is_basic, peel, slice_matrix, slice_sums)
-from basicsets.generators import closed_lightning
+from basicsets.generators import (CollisionWithExisting, boyarov_split, closed_lightning,
+                                  construction_split)
 
 EX2_CERT = (2, -1, -1, -1, 1)
 # weights in canonical (lexicographic) point order; the four +1 points are one
@@ -228,6 +230,75 @@ def test_peel_matches_reference_on_example1_copies(named_sets, offsets, extra):
     copies = {tuple(c + 2 * d for c, d in zip(p, offset))
               for offset in offsets for p in named_sets["example1"].points}
     _assert_peel_matches_reference(PointSet.from_points(sorted(copies | set(extra)), dim=3))
+
+
+def _dense_is_basic(ps):
+    """Reference oracle: rank of the transposed Fraction slice matrix, then the
+    first canonical kernel basis vector scaled to primitive integers."""
+    if len(ps) == 0:
+        return Verdict(True)
+    transpose = slice_matrix(ps).matrix.transpose()
+    if ratlin.rank(transpose) == len(ps):
+        return Verdict(True)
+    vector = ratlin.kernel_basis(transpose)[0]
+    return Verdict(False, Certificate(tuple(ratlin.primitive_integer(vector))))
+
+
+def _assert_oracle_matches_reference(ps):
+    assert is_basic(ps) == _dense_is_basic(ps)
+
+
+@given(_point_sets(2, 6, 30))
+def test_is_basic_matches_dense_reference_on_random_2d_sets(ps):
+    _assert_oracle_matches_reference(ps)
+
+
+@given(_point_sets(3, 5, 40))
+def test_is_basic_matches_dense_reference_on_random_3d_sets(ps):
+    _assert_oracle_matches_reference(ps)
+
+
+def _lightning(axis, l, seed):
+    return closed_lightning(SliceId(axis, 0), l, seed=seed)
+
+
+lightnings = st.builds(_lightning, st.sampled_from(list(Axis)), st.integers(2, 8),
+                       st.integers(0, 10**6))
+
+
+@given(lightnings, st.lists(st.tuples(*[st.integers(0, 9)] * 3), max_size=8))
+def test_is_basic_matches_dense_reference_on_closed_lightnings(cl, extra):
+    vertices = set(cl.vertices())
+    _assert_oracle_matches_reference(PointSet.from_points(sorted(vertices | set(extra)), dim=3))
+
+
+@given(lightnings, st.lists(st.integers(-3, 3), min_size=1, max_size=4))
+def test_is_basic_matches_dense_reference_on_construction_splits(cl, offsets):
+    # consecutive vertices have opposite colors, so each pair is a balanced group
+    vertices = cl.vertices()
+    grouping = {p: (i // 2) % len(offsets) for i, p in enumerate(vertices)}
+    ps = construction_split(cl, grouping, dict(enumerate(offsets)))
+    _assert_oracle_matches_reference(ps)
+
+
+@given(lightnings, st.data(), st.integers(-4, 4).filter(bool))
+def test_is_basic_matches_dense_reference_on_boyarov_splits(cl, data, offset):
+    # consecutive lightning vertices agree in two coordinates
+    vertices = cl.vertices()
+    i = data.draw(st.integers(0, len(vertices) - 2))
+    try:
+        ps = boyarov_split(cl.point_set(), vertices[i], vertices[i + 1], offset)
+    except CollisionWithExisting:
+        return
+    _assert_oracle_matches_reference(ps)
+
+
+rational_labels = st.fractions(min_value=-1, max_value=1, max_denominator=2)
+
+
+@given(st.lists(st.tuples(*[rational_labels] * 3), min_size=1, max_size=25, unique=True))
+def test_is_basic_matches_dense_reference_on_rational_labels(raw):
+    _assert_oracle_matches_reference(canonicalize(raw))
 
 
 def test_coloring_certificate_on_alternating_rectangle():

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
-from basicsets.ratlin import (RatMatrix, Unsolvable, ZeroVector, dot,
+from basicsets.ratlin import (RatMatrix, Unsolvable, ZeroVector, dot, first_circuit,
                               kernel_basis, primitive_integer, rank, rref, solve)
 
 # transpose of the slice system of the five points (0,0,0), (0,0,1), (0,1,0),
@@ -171,3 +172,33 @@ def test_unsolvable_really_has_no_small_solution():
 
 def test_dot_is_exact():
     assert dot([Fraction(1, 3), 2], [3, Fraction(1, 2)]) == 2
+
+
+def _sparse(rows):
+    return [{c: int(x) for c, x in enumerate(row) if x} for row in rows]
+
+
+def test_first_circuit_of_ex2_points():
+    point_rows = EX2_TRANSPOSE.transpose().rows
+    assert first_circuit(_sparse(point_rows)) == {0: 2, 1: -1, 2: -1, 3: -1, 4: 1}
+
+
+def test_first_circuit_edge_cases():
+    assert first_circuit([]) is None
+    assert first_circuit([{0: 2}, {1: -3}]) is None
+    assert first_circuit([{0: 1}, {}]) == {1: 1}
+    assert first_circuit([{0: 2, 1: 4}, {0: 3, 1: 6}]) == {0: -3, 1: 2}
+
+
+@given(matrices(max_rows=7, max_cols=5))
+def test_first_circuit_is_the_first_canonical_kernel_vector(rows):
+    # rows of `rows` are the columns of its transpose, so the first dependent
+    # row is the transpose's first free column
+    tag = first_circuit(_sparse(rows))
+    kernel = kernel_basis(RatMatrix(rows).transpose())
+    if tag is None:
+        assert kernel == []
+        return
+    free = max(tag)
+    assert gcd(*tag.values()) == 1
+    assert [Fraction(tag.get(i, 0), tag[free]) for i in range(len(rows))] == kernel[0]
