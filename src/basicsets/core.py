@@ -266,32 +266,39 @@ def read_points_json(text: str) -> tuple[int, list[Point]]:
     return dim, rows
 
 
+def _file_dim(found: int | None, dim: int | None) -> int:
+    # the dimension a file sets (None: no points to tell), checked against
+    # the one a caller gives, which otherwise names it (default 3)
+    if found is None:
+        return dim if dim is not None else 3
+    if dim is not None and found != dim:
+        raise ParseError(f"expected {dim}-D points, the input has {found}-D points")
+    return found
+
+
 def parse_points_text(text: str, dim: int | None = None) -> PointSet:
+    """Parse the text format; a given `dim` must match the points' arity."""
     rows = read_points_text(text)
-    if not rows:
-        return PointSet.empty(dim if dim is not None else 3)
-    return canonicalize(rows)
+    return canonicalize(rows, dim=_file_dim(len(rows[0]) if rows else None, dim))
 
 
 def parse_points_json(text: str) -> PointSet:
     dim, rows = read_points_json(text)
-    if not rows:
-        return PointSet.empty(dim)
     return canonicalize(rows, dim=dim)
 
 
 def read_points(text: str, dim: int | None = None) -> tuple[int, list[Point]]:
     """Dimension and raw points of either format, in file order.
 
-    JSON when the first significant byte is '{'.  Text points set their own
-    dimension; `dim` (default 3) only names it when there are none.
+    JSON when the first significant byte is '{'.  The file sets the
+    dimension: its "dim", or the arity of its text points.  A given `dim`
+    must agree with it, and names it when a text file has no points.
     """
     if text.lstrip().startswith("{"):
-        return read_points_json(text)
+        found, rows = read_points_json(text)
+        return _file_dim(found, dim), rows
     rows = read_points_text(text)
-    if rows:
-        return len(rows[0]), rows
-    return (dim if dim is not None else 3), rows
+    return _file_dim(len(rows[0]) if rows else None, dim), rows
 
 
 def parse_points_auto(text: str, dim: int | None = None) -> PointSet:

@@ -131,6 +131,15 @@ def certificate_valid(ps: PointSet, cert: Certificate) -> bool:
     return all(s == 0 for s in slice_sums(ps, cert.weights).values())
 
 
+def slice_rows(ps: PointSet) -> list[dict[int, int]]:
+    """Sparse integer rows of the slice matrix: {column: 1} per point."""
+    rows: list[dict[int, int]] = [{} for _ in range(len(ps))]
+    for col, (_, members) in enumerate(slices_of(ps)):
+        for i in members:
+            rows[i][col] = 1
+    return rows
+
+
 def is_basic(ps: PointSet) -> Verdict:
     """Basic iff the slice-matrix rows are independent.
 
@@ -139,15 +148,10 @@ def is_basic(ps: PointSet) -> Verdict:
     first dependent point, which equals the first canonical kernel basis
     vector of the transpose system, so repeated runs agree.
     """
-    n = len(ps)
-    rows: list[dict[int, int]] = [{} for _ in range(n)]
-    for col, (_, members) in enumerate(slices_of(ps)):
-        for i in members:
-            rows[i][col] = 1
-    tag = ratlin.first_circuit(rows)
+    tag = ratlin.first_circuit(slice_rows(ps))
     if tag is None:
         return Verdict(True)
-    vector = [tag.get(i, 0) for i in range(n)]
+    vector = [tag.get(i, 0) for i in range(len(ps))]
     return Verdict(False, Certificate(tuple(ratlin.primitive_integer(vector))))
 
 
@@ -155,24 +159,26 @@ def decompose(ps: PointSet, f: Mapping[Point, Fraction | int]) -> Decomposition 
     """Split f into per-axis tables, or produce a witness that none exists.
 
     Success returns the canonical solution (free slice values zero under the
-    fixed column order).  Failure returns a certificate pairing to a nonzero
-    value against f; such a certificate always exists when the system is
-    inconsistent.
+    fixed column order), found by column_solve over the slice columns.
+    Failure returns the first fundamental circuit of the point rows, in
+    canonical order, that pairs to a nonzero value against f; such a circuit
+    always exists when the system is inconsistent, because the circuits span
+    the kernel of the transpose.
     """
     if set(f.keys()) != set(ps.points):
         raise DomainMismatch("function values must be given on exactly the points of the set")
     values = [Fraction(f[p]) for p in ps.points]
-    sm = slice_matrix(ps)
+    slices = slices_of(ps)
     try:
-        x = ratlin.solve(sm.matrix, values)
+        x = ratlin.column_solve([dict.fromkeys(members, 1) for _, members in slices], values)
     except Unsolvable:
-        for vector in ratlin.kernel_basis(sm.matrix.transpose()):
-            if ratlin.dot(vector, values) != 0:
-                weights = ratlin.primitive_integer(vector)
+        for tag in ratlin.circuits(slice_rows(ps)):
+            if sum(values[i] * w for i, w in tag.items()) != 0:
+                weights = ratlin.primitive_integer([tag.get(i, 0) for i in range(len(ps))])
                 return Witness(Certificate(tuple(weights)), ratlin.dot(weights, values))
-        raise AssertionError("inconsistent system but every kernel vector pairs to zero")
+        raise AssertionError("inconsistent system but every circuit pairs to zero")
     tables: tuple[dict[int, Fraction], ...] = tuple({} for _ in range(ps.dim))
-    for sid, xv in zip(sm.columns, x):
+    for (sid, _), xv in zip(slices, x):
         tables[sid.axis][sid.value] = xv
     return Decomposition(tables)
 

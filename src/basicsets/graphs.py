@@ -148,7 +148,10 @@ def coboundary_matrix(g: Graph) -> RatMatrix:
 
 def graph_is_basic_rank(g: Graph) -> bool:
     """True iff the vertex coboundaries are linearly independent."""
-    return ratlin.rank(coboundary_matrix(g)) == g.n
+    rows: list[dict[int, int]] = [{} for _ in range(g.n)]
+    for j, (u, v) in enumerate(g.edges):
+        rows[u][j] = rows[v][j] = 1
+    return ratlin.first_circuit(rows) is None
 
 
 def solve_edges(g: Graph, b: Sequence[Fraction | int]) -> EdgeAssignment:
@@ -160,7 +163,7 @@ def solve_edges(g: Graph, b: Sequence[Fraction | int]) -> EdgeAssignment:
     if len(b) != g.n:
         raise ValueError(f"{len(b)} vertex values for {g.n} vertices")
     try:
-        x = ratlin.solve(coboundary_matrix(g), b)
+        x = ratlin.column_solve([{u: 1, v: 1} for u, v in g.edges], b)
     except ratlin.Unsolvable:
         for comp in bipartite_components(g):
             if comp.bipartite:

@@ -3,13 +3,14 @@
 Dense matrices, deterministic first-nonzero pivoting (arithmetic is exact,
 so there is nothing to stabilize), and a canonical free-variables-zero
 solution convention so that solutions and kernel vectors are reproducible.
-Instances stay desk-scale.  The one sparse routine, first_circuit, finds
-the first dependency among integer rows with Python ints alone.
+Instances stay desk-scale.  The library decides, solves and finds witnesses
+with one sparse elimination over Python ints, circuits; first_circuit and
+column_solve are built on it.  The dense routines remain as references.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 Rat = Fraction
 
@@ -186,16 +187,19 @@ def _combine(u: dict[int, int], s: int, v: Mapping[int, int], t: int) -> dict[in
     return out
 
 
-def first_circuit(rows: Sequence[Mapping[int, int]]) -> dict[int, int] | None:
-    """The first dependency among sparse integer rows, or None if there is none.
+def circuits(rows: Sequence[Mapping[int, int]]) -> Iterator[dict[int, int]]:
+    """The fundamental circuit of every dependent sparse integer row, in order.
 
     Rows are {column: value} and go in order into an echelon form keyed by
     leading (least) column; each stored row carries its combination of input
-    rows as a tag {row index: coefficient}.  The first row that reduces to
-    zero ends the scan, and its tag is returned.  The rows before it are
-    independent, so the tag is their unique dependency with that row up to
-    scale (its fundamental circuit), and its entry for that row is nonzero.
-    Every step divides row and tag by their common gcd.
+    rows as a tag {row index: coefficient}.  A row that reduces to zero is
+    dependent on the stored rows before it, which are independent, so its tag
+    is their unique dependency with that row up to scale (its fundamental
+    circuit); the row's own index is the tag's greatest key, with a nonzero
+    entry.  Divided by that entry, the tag is the canonical kernel vector of
+    the transpose for the row's free column.  The stored rows are the greedy
+    row basis, which is rref's pivot set of the transpose.  Every step
+    divides row and tag by their common gcd.
     """
     echelon: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
     for index, row in enumerate(rows):
@@ -211,10 +215,36 @@ def first_circuit(rows: Sequence[Mapping[int, int]]) -> dict[int, int] | None:
             if content != 1:
                 vec = {c: x // content for c, x in vec.items()}
                 tag = {i: x // content for i, x in tag.items()}
-        if not vec:
-            return tag
-        echelon[lead] = (vec, tag)
-    return None
+        if vec:
+            echelon[lead] = (vec, tag)
+        else:
+            yield tag
+
+
+def first_circuit(rows: Sequence[Mapping[int, int]]) -> dict[int, int] | None:
+    """The first of circuits(rows), or None if the rows are independent."""
+    return next(circuits(rows), None)
+
+
+def column_solve(columns: Sequence[Mapping[int, int]], b: Sequence[Rat | int]) -> list[Fraction]:
+    """Canonical solution of m x = b for m given by its sparse integer columns.
+
+    The same as solve on the dense matrix: b, scaled to integers, goes into
+    circuits after the columns, and its circuit, if any, uses only the greedy
+    column basis (rref's pivots), so it is the free-variables-zero solution.
+    Raises Unsolvable when b is independent of the columns.
+    """
+    target = [Fraction(v) for v in b]
+    scale = lcm(*(v.denominator for v in target))
+    last = len(columns)
+    for tag in circuits([*columns, {i: int(v * scale) for i, v in enumerate(target) if v}]):
+        if last in tag:
+            x = [Fraction(0)] * last
+            for c, coeff in tag.items():
+                if c != last:
+                    x[c] = Fraction(-coeff, tag[last] * scale)
+            return x
+    raise Unsolvable("the right-hand side is independent of the columns")
 
 
 def primitive_integer(v: Sequence[Rat | int]) -> list[int]:

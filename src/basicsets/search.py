@@ -11,6 +11,7 @@ import csv
 import io
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb, gcd
 
@@ -189,10 +190,14 @@ def minimize_certificate(ps: PointSet, sup_bound: int) -> Certificate:
     """
     if sup_bound < 1:
         raise ValueError("sup-norm bound must be at least 1")
-    if decide.is_basic(ps).basic:
+    basis = []
+    for tag in ratlin.circuits(decide.slice_rows(ps)):
+        # scaled to 1 at its own (last) point, a circuit is the canonical
+        # kernel vector of that point's free column
+        own = tag[max(tag)]
+        basis.append([Fraction(tag.get(i, 0), own) for i in range(len(ps))])
+    if not basis:
         raise NotNonBasic("certificates exist only for non-basic sets")
-    transpose = decide.slice_matrix(ps).matrix.transpose()
-    basis = ratlin.kernel_basis(transpose)
     span = 2 * sup_bound + 1
     if span ** len(basis) > 1 << 22:
         raise BudgetExceeded("certificate search space too large")

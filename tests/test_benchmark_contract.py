@@ -3,9 +3,9 @@
 Runs the benchmark command briefly on the `fast` workload, untraced and
 traced, and reads its last two lines of output.  A library change that
 removes or renames a function a per-layer metric is computed from shows up
-here as a missing metric or a nonempty `absent` list.  A brief `oracle` run
-at the default seed checks its verdicts and certificates against the output
-digest the benchmark records.
+here as a missing metric or a nonempty `absent` list.  Brief `oracle` and
+`decompose` runs at the default seed check their verdicts, certificates,
+tables and witnesses against the output digests the benchmark records.
 """
 
 import json
@@ -43,5 +43,12 @@ def test_fast_run_reports_every_declared_metric(trace, group):
 def test_oracle_run_keeps_the_recorded_digest():
     # the default seed's output digest covers every verdict and certificate
     info, result = _run("oracle", "0")
+    assert result["correct"] is True and result["failed"] == 0
+    assert info["info"]["seed"] == 0
+
+
+def test_decompose_run_keeps_the_recorded_digest():
+    # the default seed's output digest covers every table and witness
+    info, result = _run("decompose", "0")
     assert result["correct"] is True and result["failed"] == 0
     assert info["info"]["seed"] == 0

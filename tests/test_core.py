@@ -182,6 +182,18 @@ def test_read_points_sniffs_format_and_keeps_file_order():
     assert read_points("", dim=2) == (2, [])
 
 
+def test_a_given_dim_must_match_the_points():
+    with pytest.raises(ParseError, match="expected 2-D points, the input has 3-D points"):
+        parse_points_text("0 0 1\n1 0 0\n", dim=2)
+    with pytest.raises(ParseError, match="expected 2-D points"):
+        parse_points_auto("0 0 1\n1 0 0\n", dim=2)
+    with pytest.raises(ParseError, match="expected 3-D points, the input has 2-D points"):
+        parse_points_auto('{"dim": 2, "points": [[0, 1]]}', dim=3)
+    assert parse_points_text("0 1\n", dim=2).dim == 2
+    assert parse_points_auto('{"dim": 2, "points": []}', dim=2).dim == 2
+    assert parse_points_text("", dim=2).dim == 2
+
+
 def test_text_round_trip_is_exact():
     ps = canonicalize(CUBE8)
     assert parse_points_text(format_points_text(ps)) == ps

@@ -301,6 +301,81 @@ def test_is_basic_matches_dense_reference_on_rational_labels(raw):
     _assert_oracle_matches_reference(canonicalize(raw))
 
 
+def _dense_decompose(ps, f):
+    """Reference decompose: the Fraction solve of the slice system, and on
+    failure the first canonical kernel vector of the transpose that pairs to
+    nonzero against f, scaled to primitive integers."""
+    values = [Fraction(f[p]) for p in ps.points]
+    sm = slice_matrix(ps)
+    try:
+        x = ratlin.solve(sm.matrix, values)
+    except ratlin.Unsolvable:
+        for vector in ratlin.kernel_basis(sm.matrix.transpose()):
+            if ratlin.dot(vector, values) != 0:
+                weights = ratlin.primitive_integer(vector)
+                return Witness(Certificate(tuple(weights)), ratlin.dot(weights, values))
+        raise AssertionError("inconsistent system but every kernel vector pairs to zero")
+    tables = tuple({} for _ in range(ps.dim))
+    for sid, xv in zip(sm.columns, x):
+        tables[sid.axis][sid.value] = xv
+    return Decomposition(tables)
+
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+def _functions(data, ps):
+    """A random rational function on ps, or half the time an additive one."""
+    if data.draw(st.booleans()):
+        return {p: data.draw(rationals) for p in ps.points}
+    tables = [{v: data.draw(rationals) for v in ps.values[a]} for a in range(ps.dim)]
+    return {p: sum(tables[a][p[a]] for a in range(ps.dim)) for p in ps.points}
+
+
+def _assert_decompose_matches_reference(ps, data):
+    f = _functions(data, ps)
+    result = decompose(ps, f)
+    assert result == _dense_decompose(ps, f)
+    if isinstance(result, Decomposition):
+        assert all(result.value_at(p) == f[p] for p in ps.points)
+
+
+@given(_point_sets(2, 6, 30), st.data())
+def test_decompose_matches_dense_reference_on_random_2d_sets(ps, data):
+    _assert_decompose_matches_reference(ps, data)
+
+
+@given(_point_sets(3, 5, 40), st.data())
+def test_decompose_matches_dense_reference_on_random_3d_sets(ps, data):
+    _assert_decompose_matches_reference(ps, data)
+
+
+@given(lightnings, st.lists(st.tuples(*[st.integers(0, 9)] * 3), max_size=8), st.data())
+def test_decompose_matches_dense_reference_on_closed_lightnings(cl, extra, data):
+    vertices = set(cl.vertices())
+    ps = PointSet.from_points(sorted(vertices | set(extra)), dim=3)
+    _assert_decompose_matches_reference(ps, data)
+
+
+@given(lightnings, st.lists(st.integers(-3, 3), min_size=1, max_size=4), st.data())
+def test_decompose_matches_dense_reference_on_construction_splits(cl, offsets, data):
+    vertices = cl.vertices()
+    grouping = {p: (i // 2) % len(offsets) for i, p in enumerate(vertices)}
+    ps = construction_split(cl, grouping, dict(enumerate(offsets)))
+    _assert_decompose_matches_reference(ps, data)
+
+
+@given(lightnings, st.data(), st.integers(-4, 4).filter(bool))
+def test_decompose_matches_dense_reference_on_boyarov_splits(cl, data, offset):
+    vertices = cl.vertices()
+    i = data.draw(st.integers(0, len(vertices) - 2))
+    try:
+        ps = boyarov_split(cl.point_set(), vertices[i], vertices[i + 1], offset)
+    except CollisionWithExisting:
+        return
+    _assert_decompose_matches_reference(ps, data)
+
+
 def test_coloring_certificate_on_alternating_rectangle():
     ps = PointSet.from_points([(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)])
     coloring = {(0, 0, 0): Color.BLACK, (1, 1, 0): Color.BLACK,

@@ -3,10 +3,12 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
+from basicsets import ratlin
 from basicsets.core import Axis, SliceId, canonicalize
-from basicsets.graphs import (EdgeUnsolvable, FastKind, Graph, NotTwoRegular,
-                              bipartite_components, coboundary,
+from basicsets.graphs import (EdgeAssignment, EdgeUnsolvable, FastKind, Graph,
+                              NotTwoRegular, bipartite_components, coboundary,
                               coboundary_matrix, fast_is_basic,
                               format_graph_text, graph_is_basic,
                               graph_is_basic_rank, parse_graph_text, point_graph,
@@ -123,6 +125,32 @@ def test_solve_edges_random_agreement_with_basicness():
             else:
                 assert assignment.vertex_sums() == b
         assert all_solved == basic
+
+
+def _multigraphs(max_n=7, max_edges=12):
+    """Random multigraphs, parallel edges and isolated vertices included."""
+    return st.integers(2, max_n).flatmap(lambda n: st.builds(
+        Graph.from_edges, st.just(n),
+        st.lists(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True),
+                 max_size=max_edges)))
+
+
+@given(_multigraphs(), st.data())
+def test_solve_edges_matches_dense_solve(g, data):
+    b = data.draw(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6),
+                           min_size=g.n, max_size=g.n))
+    try:
+        want = ratlin.solve(coboundary_matrix(g), b)
+    except ratlin.Unsolvable:
+        with pytest.raises(EdgeUnsolvable):
+            solve_edges(g, b)
+        return
+    assert solve_edges(g, b) == EdgeAssignment(g, tuple(want))
+
+
+@given(_multigraphs())
+def test_rank_route_matches_dense_rank(g):
+    assert graph_is_basic_rank(g) == (ratlin.rank(coboundary_matrix(g)) == g.n)
 
 
 def test_point_graph_example1_is_k4(named_sets):

@@ -6,8 +6,9 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from basicsets.ratlin import (RatMatrix, Unsolvable, ZeroVector, dot, first_circuit,
-                              kernel_basis, primitive_integer, rank, rref, solve)
+from basicsets.ratlin import (RatMatrix, Unsolvable, ZeroVector, circuits, column_solve, dot,
+                              first_circuit, kernel_basis, primitive_integer, rank, rref,
+                              solve)
 
 # transpose of the slice system of the five points (0,0,0), (0,0,1), (0,1,0),
 # (1,0,0), (1,1,1): one row per slice, one column per point
@@ -202,3 +203,47 @@ def test_first_circuit_is_the_first_canonical_kernel_vector(rows):
     free = max(tag)
     assert gcd(*tag.values()) == 1
     assert [Fraction(tag.get(i, 0), tag[free]) for i in range(len(rows))] == kernel[0]
+
+
+@given(matrices(max_rows=7, max_cols=5))
+def test_circuits_are_the_canonical_kernel_basis_in_order(rows):
+    # each dependent row's tag, divided by its own (greatest-index) entry, is
+    # the canonical kernel vector of the transpose for that free column
+    kernel = kernel_basis(RatMatrix(rows).transpose())
+    scaled = []
+    for tag in circuits(_sparse(rows)):
+        own = max(tag)
+        assert gcd(*tag.values()) == 1
+        scaled.append([Fraction(tag.get(i, 0), tag[own]) for i in range(len(rows))])
+    assert scaled == kernel
+
+
+def test_column_solve_examples():
+    # columns of [[1, 1], [1, 1]]
+    assert column_solve([{0: 1, 1: 1}, {0: 1, 1: 1}], [1, 1]) == [Fraction(1), Fraction(0)]
+    with pytest.raises(Unsolvable):
+        column_solve([{0: 1, 1: 1}, {0: 1, 1: 1}], [1, 0])
+    assert column_solve([{0: 2}, {1: 3}], [1, Fraction(1, 2)]) == [Fraction(1, 2), Fraction(1, 6)]
+    assert column_solve([{}, {}], [0]) == [Fraction(0)] * 2
+    assert column_solve([], []) == []
+    with pytest.raises(Unsolvable):
+        column_solve([], [Fraction(1, 3)])
+
+
+@given(matrices(max_rows=6, max_cols=6), st.data())
+def test_column_solve_matches_dense_solve(rows, data):
+    m = RatMatrix(rows)
+    b = data.draw(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=12),
+                           min_size=m.nrows, max_size=m.nrows))
+    if data.draw(st.booleans()):
+        # a right-hand side in the column space, so the solve path is exercised
+        coeffs = data.draw(st.lists(small_entries, min_size=m.ncols, max_size=m.ncols))
+        b = [Fraction(v) / 7 for v in m.mul_vec(coeffs)]
+    columns = _sparse(m.transpose().rows)
+    try:
+        want = solve(m, b)
+    except Unsolvable:
+        with pytest.raises(Unsolvable):
+            column_solve(columns, b)
+        return
+    assert column_solve(columns, b) == want
