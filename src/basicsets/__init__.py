@@ -9,7 +9,7 @@ from .decide import (Certificate, Color, Decomposition, DomainMismatch,
                      coloring_certificate, decompose, indicator_witness,
                      is_basic, peel, slice_matrix)
 from .graphs import (FastKind, FastResult, Graph, NotTwoRegular,
-                     bipartite_components, coboundary, coboundary_matrix,
+                     bipartite_components, coboundary_matrix,
                      fast_is_basic, graph_is_basic, graph_is_basic_rank,
                      point_graph, solve_edges)
 from .generators import (ClosedLightning, Lightning, boyarov_split,
@@ -28,7 +28,7 @@ __all__ = [
     "NotNonBasic", "NotTwoRegular", "ParseError", "Point", "PointSet",
     "SliceId", "Survey", "Verdict", "Witness", "bipartite_components",
     "boyarov_split", "canonicalize", "closed_lightning",
-    "coboundary", "coboundary_matrix", "coloring_certificate", "construction_split",
+    "coboundary_matrix", "coloring_certificate", "construction_split",
     "decompose", "enumerate_minimal", "fast_is_basic", "fixtures",
     "format_points_text", "graph_is_basic", "graph_is_basic_rank",
     "indicator_witness", "is_basic", "is_basic_2d", "is_lightning",

@@ -126,10 +126,6 @@ class PointSet:
         """Index of `point` in canonical order."""
         return self.points.index(tuple(point))
 
-    def is_canonical(self) -> bool:
-        """True when every axis table is exactly 0..k-1."""
-        return all(vals == tuple(range(len(vals))) for vals in self.values)
-
 
 ExactScalar = int | str | Fraction
 

@@ -130,13 +130,6 @@ def graph_is_basic(g: Graph) -> bool:
     return all(not c.bipartite for c in bipartite_components(g))
 
 
-def coboundary(g: Graph, vertex: int) -> list[Fraction]:
-    """Edge-indexed 0/1 vector marking the edges incident to `vertex`."""
-    if not 0 <= vertex < g.n:
-        raise ValueError(f"vertex {vertex} outside 0..{g.n - 1}")
-    return [Fraction(1 if vertex in e else 0) for e in g.edges]
-
-
 def coboundary_matrix(g: Graph) -> RatMatrix:
     """n x e incidence matrix; row i is the coboundary vector of vertex i."""
     rows = [[Fraction(0)] * len(g.edges) for _ in range(g.n)]

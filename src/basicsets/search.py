@@ -1,10 +1,13 @@
 """Desk-scale exhaustive searches over small grids.
 
-Enumerates inclusion-minimal non-basic subsets (size-ascending, pruning
-supersets of sets already found, which is exact because any non-basic set
-contains a smaller minimal one), and hunts for certificates of least
-sup-norm by exhausting integer coefficient boxes over the canonical kernel
-basis.  All output is deterministic and independent of the worker count.
+The inclusion-minimal non-basic subsets of a grid are the circuits of the
+row matroid of its slice matrix.  A depth-first walk over independent sets
+in index order finds each circuit exactly once, from the circuit minus its
+greatest point.  A circuit's kernel is a line, so its least sup-norm
+certificate is its primitive circuit vector; for other non-basic sets,
+certificates of least sup-norm come from exhausting integer coefficient
+boxes over the canonical kernel basis.  All output is deterministic and
+independent of the worker count.
 """
 
 import csv
@@ -12,8 +15,8 @@ import io
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
-from math import comb, gcd
+from itertools import permutations, product
+from math import comb
 
 from .core import Point, PointSet
 from . import decide, ratlin
@@ -45,10 +48,6 @@ class GridSpec:
     def extents(self) -> tuple[int, int, int]:
         return (self.nx, self.ny, self.nz)
 
-    @property
-    def size(self) -> int:
-        return self.nx * self.ny * self.nz
-
     def points(self) -> tuple[Point, ...]:
         return tuple(sorted((x, y, z)
                             for x in range(self.nx)
@@ -69,37 +68,44 @@ def is_minimal_nonbasic(ps: PointSet) -> MinimalityReport:
 
     Minimal means non-basic while every proper deletion is basic; the
     deletions that stay non-basic are listed (empty exactly when minimal).
+    One row scan gives the nullity: at 1, the kernel vector's support is
+    the only circuit, and exactly the points outside it can go; at 2 or
+    more, no single deletion makes the set basic.
     """
-    if decide.is_basic(ps).basic:
+    found = list(ratlin.circuits(decide.slice_rows(ps)))
+    if not found:
         return MinimalityReport(ps, False, False, ())
-    failing = []
-    for p in ps.points:
-        smaller = PointSet.from_points([q for q in ps.points if q != p], dim=ps.dim)
-        if not decide.is_basic(smaller).basic:
-            failing.append(p)
-    return MinimalityReport(ps, True, not failing, tuple(failing))
+    if len(found) == 1:
+        failing = tuple(p for i, p in enumerate(ps.points) if i not in found[0])
+    else:
+        failing = ps.points
+    return MinimalityReport(ps, True, not failing, failing)
 
 
-def _mask_points(mask: int, grid_points: tuple[Point, ...]) -> list[Point]:
-    return [p for i, p in enumerate(grid_points) if mask >> i & 1]
+def _circuits_from(args) -> list[tuple[int, ...]]:
+    """Worker: index tuples of the circuits whose least index is `first`.
 
-
-def _scan_level(args) -> list[int]:
-    """Worker: masks of the verified minimal non-basic subsets in a chunk.
-
-    `known` holds minimal sets already found at smaller sizes; any superset
-    of one is non-basic but never minimal, so it is skipped unexamined.
+    A path is an independent, increasing index tuple.  Because the path is
+    independent, the first circuit of its rows plus row j is j's fundamental
+    circuit, and path + (j,) is a circuit exactly when every path row has a
+    coefficient in it.  Each circuit C is reached once, from C - max(C).
     """
-    grid_points, masks, known = args
+    rows, first, max_size, deadline = args
     found = []
-    for mask in masks:
-        if any(mask & km == km for km in known):
-            continue
-        ps = PointSet.from_points(_mask_points(mask, grid_points), dim=3)
-        if decide.is_basic(ps).basic:
-            continue
-        if is_minimal_nonbasic(ps).minimal:
-            found.append(mask)
+
+    def grow(path: tuple[int, ...]) -> None:
+        if deadline is not None and time.monotonic() > deadline:
+            raise BudgetExceeded("wall-clock limit reached")
+        path_rows = [rows[i] for i in path]
+        for j in range(path[-1] + 1, len(rows)):
+            tag = ratlin.first_circuit(path_rows + [rows[j]])
+            if tag is None:
+                if len(path) + 1 < max_size:
+                    grow(path + (j,))
+            elif len(tag) == len(path) + 1:
+                found.append(path + (j,))
+
+    grow((first,))
     return found
 
 
@@ -135,10 +141,12 @@ def enumerate_minimal(grid: GridSpec, max_size: int, *, dedup: bool = False,
                       time_limit: float | None = DEFAULT_TIME_LIMIT) -> list[MinimalityReport]:
     """All inclusion-minimal non-basic subsets of the grid up to max_size.
 
-    Reports come in canonical order (size, then point tuples) and each one
-    is re-verified by the deletion check before being reported.  With dedup
-    on, only the least set of each grid-symmetry orbit is kept.  The output
-    is identical for any worker count.
+    These are the circuits of the grid's point rows, found by a depth-first
+    walk with one job per least index.  Reports come in canonical order
+    (size, then point tuples).  With dedup on, only the least set of each
+    grid-symmetry orbit is kept.  The budget bounds the number of subsets
+    up to max_size, and the time limit is checked at every node of the
+    walk.  The output is identical for any worker count.
     """
     if max_size < 0:
         raise ValueError(f"max size must be at least 0, got {max_size}")
@@ -146,31 +154,21 @@ def enumerate_minimal(grid: GridSpec, max_size: int, *, dedup: bool = False,
         raise ValueError(f"worker count must be at least 1, got {workers}")
     grid_points = grid.points()
     n = len(grid_points)
-    top = min(max_size, n)
-    if sum(comb(n, k) for k in range(1, top + 1)) > budget:
+    if sum(comb(n, k) for k in range(1, min(max_size, n) + 1)) > budget:
         raise BudgetExceeded(f"subset count exceeds the budget of {budget}")
     deadline = time.monotonic() + time_limit if time_limit is not None else None
-    known: list[int] = []
-    reports: list[MinimalityReport] = []
-    for k in range(1, top + 1):
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceeded("wall-clock limit reached")
-        masks = [sum(1 << i for i in c) for c in combinations(range(n), k)]
-        if workers > 1 and len(masks) > 1:
-            import multiprocessing
+    rows = decide.slice_rows(PointSet.from_points(grid_points, dim=3))
+    jobs = [(rows, first, max_size, deadline) for first in range(n)] if max_size > 1 else []
+    if workers > 1 and len(jobs) > 1:
+        import multiprocessing
 
-            chunk = (len(masks) + workers - 1) // workers
-            jobs = [(grid_points, masks[i:i + chunk], tuple(known))
-                    for i in range(0, len(masks), chunk)]
-            with multiprocessing.Pool(workers) as pool:
-                results = pool.map(_scan_level, jobs)
-            level_found = [m for sub in results for m in sub]
-        else:
-            level_found = _scan_level((grid_points, masks, tuple(known)))
-        for mask in level_found:
-            ps = PointSet.from_points(_mask_points(mask, grid_points), dim=3)
-            reports.append(MinimalityReport(ps, True, True, ()))
-        known.extend(level_found)
+        with multiprocessing.Pool(min(workers, len(jobs))) as pool:
+            found = pool.map(_circuits_from, jobs)
+    else:
+        found = map(_circuits_from, jobs)
+    reports = [MinimalityReport(PointSet.from_points([grid_points[i] for i in c], dim=3),
+                                True, True, ())
+               for sub in found for c in sub]
     reports.sort(key=lambda r: (len(r.point_set), r.point_set.points))
     if dedup:
         symmetries = grid_symmetries(grid)
@@ -212,11 +210,7 @@ def minimize_certificate(ps: PointSet, sup_bound: int) -> Certificate:
         weights = [int(x) for x in vector]
         if max(abs(w) for w in weights) > sup_bound:
             continue
-        g = gcd(*weights)
-        weights = [w // g for w in weights]
-        first = next(w for w in weights if w)
-        if first < 0:
-            weights = [-w for w in weights]
+        weights = ratlin.primitive_integer(weights)
         candidate = (max(abs(w) for w in weights), tuple(weights))
         if best is None or candidate < best:
             best = candidate
@@ -248,21 +242,19 @@ def max_weight_survey(grid: GridSpec, max_size: int, *, sup_cap: int = 8,
                       time_limit: float | None = DEFAULT_TIME_LIMIT) -> Survey:
     """Minimal certificate sup-norm for every minimal non-basic set found.
 
-    Rows follow enumerate_minimal order; the maximum observed sup-norm and
-    the sets witnessing it are reported alongside.
+    Rows follow enumerate_minimal order.  A minimal set's least certificate
+    is its primitive circuit vector, so a row's sup-norm is that vector's,
+    or None above sup_cap.  The maximum observed sup-norm and the sets
+    witnessing it are reported alongside.
     """
     reports = enumerate_minimal(grid, max_size, dedup=dedup, workers=workers,
                                 budget=budget, time_limit=time_limit)
     rows = []
     for rep in reports:
-        norm = None
-        for bound in range(1, sup_cap + 1):
-            try:
-                norm = minimize_certificate(rep.point_set, bound).sup_norm
-                break
-            except NoneWithinBound:
-                continue
-        rows.append(SurveyRow(rep.point_set, len(rep.point_set), rep.minimal, norm))
+        circuit = ratlin.first_circuit(decide.slice_rows(rep.point_set))
+        norm = max(map(abs, ratlin.primitive_integer(list(circuit.values()))))
+        rows.append(SurveyRow(rep.point_set, len(rep.point_set), rep.minimal,
+                              norm if norm <= sup_cap else None))
     norms = [r.min_sup_norm for r in rows if r.min_sup_norm is not None]
     max_norm = max(norms) if norms else None
     witnesses = tuple(r.point_set for r in rows if r.min_sup_norm == max_norm) \

@@ -1,11 +1,12 @@
 """The benchmark's result line keeps every metric that BENCHMARK.json declares.
 
 Runs the benchmark command briefly on the `fast` workload, untraced and
-traced, and reads its last two lines of output.  A library change that
-removes or renames a function a per-layer metric is computed from shows up
-here as a missing metric or a nonempty `absent` list.  Brief `oracle` and
-`decompose` runs at the default seed check their verdicts, certificates,
-tables and witnesses against the output digests the benchmark records.
+traced, and on the `survey` workload traced, and reads its last two lines
+of output.  A library change that removes or renames a function a
+per-layer metric is computed from shows up here as a missing metric or a
+nonempty `absent` list.  Brief `oracle`, `decompose` and `survey` runs at
+the default seed check their verdicts, certificates, tables, witnesses and
+survey CSVs against the output digests the benchmark records.
 """
 
 import json
@@ -30,14 +31,22 @@ def _run(workload, trace):
     return json.loads(info_line), json.loads(result_line)
 
 
-@pytest.mark.parametrize("trace, group", [("0", "end_to_end"), ("1", "per_layer")])
-def test_fast_run_reports_every_declared_metric(trace, group):
-    info, result = _run("fast", trace)
+def _assert_every_declared_metric(workload, trace, group):
+    info, result = _run(workload, trace)
     assert set(result) == {"correct", "attempted", "failed", "metrics"}
     assert result["correct"] is True and result["failed"] == 0
     declared = {metric["name"] for metric in CONTRACT[group]}
     assert declared <= set(result["metrics"])
     assert info["info"].get("absent", []) == []
+
+
+@pytest.mark.parametrize("trace, group", [("0", "end_to_end"), ("1", "per_layer")])
+def test_fast_run_reports_every_declared_metric(trace, group):
+    _assert_every_declared_metric("fast", trace, group)
+
+
+def test_survey_traced_run_reports_every_declared_metric():
+    _assert_every_declared_metric("survey", "1", "per_layer")
 
 
 def test_oracle_run_keeps_the_recorded_digest():
@@ -52,3 +61,9 @@ def test_decompose_run_keeps_the_recorded_digest():
     info, result = _run("decompose", "0")
     assert result["correct"] is True and result["failed"] == 0
     assert info["info"]["seed"] == 0
+
+
+def test_survey_run_keeps_the_recorded_digests():
+    # the survey CSV digest and the --workers 1 vs 2 parity CSV digest
+    info, result = _run("survey", "0")
+    assert result["correct"] is True and result["failed"] == 0

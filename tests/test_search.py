@@ -1,15 +1,62 @@
+import multiprocessing
+import time
+from itertools import combinations
+
 import pytest
+from hypothesis import example, given, strategies as st
 
 from basicsets.core import PointSet
 from basicsets.decide import NotNonBasic, certificate_valid, is_basic, slice_sums
-from basicsets.search import (BudgetExceeded, GridSpec, NoneWithinBound,
-                              apply_symmetry, enumerate_minimal, grid_symmetries,
-                              is_minimal_nonbasic, max_weight_survey,
-                              minimize_certificate, orbit_representative,
-                              survey_csv, survey_payload)
+from basicsets.search import (BudgetExceeded, GridSpec, MinimalityReport,
+                              NoneWithinBound, apply_symmetry, enumerate_minimal,
+                              grid_symmetries, is_minimal_nonbasic,
+                              max_weight_survey, minimize_certificate,
+                              orbit_representative, survey_csv, survey_payload)
 
 RECTANGLE = [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)]
 EX2 = [(0, 0, 0), (0, 1, 0), (1, 0, 0), (0, 0, 1), (1, 1, 1)]
+GRID333 = GridSpec(3, 3, 3).points()
+
+
+def _deletion_scan(ps):
+    """Reference minimality check: one oracle call per single-point deletion."""
+    if is_basic(ps).basic:
+        return MinimalityReport(ps, False, False, ())
+    failing = tuple(p for p in ps.points
+                    if not is_basic(PointSet.from_points(
+                        [q for q in ps.points if q != p], dim=ps.dim)).basic)
+    return MinimalityReport(ps, True, not failing, failing)
+
+
+def _level_scan_minimal(grid, max_size):
+    """Reference enumeration: every subset, size by size, skipping supersets
+    of the minimal sets already found."""
+    points = grid.points()
+    known, reports = [], []
+    for k in range(1, min(max_size, len(points)) + 1):
+        level = []
+        for combo in combinations(range(len(points)), k):
+            mask = sum(1 << i for i in combo)
+            if any(mask & m == m for m in known):
+                continue
+            ps = PointSet.from_points([points[i] for i in combo], dim=3)
+            if _deletion_scan(ps).minimal:
+                level.append(mask)
+                reports.append(MinimalityReport(ps, True, True, ()))
+        known.extend(level)
+    reports.sort(key=lambda r: (len(r.point_set), r.point_set.points))
+    return reports
+
+
+def _retry_norm(ps, sup_cap):
+    """Reference survey norm: the least bound up to sup_cap that the box
+    search meets."""
+    for bound in range(1, sup_cap + 1):
+        try:
+            return minimize_certificate(ps, bound).sup_norm
+        except NoneWithinBound:
+            continue
+    return None
 
 
 def test_rectangle_is_minimal():
@@ -32,6 +79,69 @@ def test_rectangle_plus_far_point_is_not_minimal():
 def test_basic_set_report():
     report = is_minimal_nonbasic(PointSet.from_points([(0, 0, 0), (1, 1, 1)]))
     assert not report.is_nonbasic and not report.minimal
+
+
+def test_minimality_matches_the_deletion_scan_on_the_cube(corpus_cube222):
+    for ps in corpus_cube222:
+        assert is_minimal_nonbasic(ps) == _deletion_scan(ps)
+
+
+@given(st.lists(st.sampled_from(GRID333), unique=True, max_size=12))
+@example(RECTANGLE + [(1, 1, 2), (1, 2, 2), (2, 1, 2), (2, 2, 2)])  # nullity 2
+@example(RECTANGLE + [(2, 2, 2)])
+@example(EX2)
+def test_minimality_matches_the_deletion_scan_on_the_333_grid(points):
+    ps = PointSet.from_points(points, dim=3)
+    assert is_minimal_nonbasic(ps) == _deletion_scan(ps)
+
+
+@pytest.mark.parametrize("extents, max_size", [((2, 2, 2), 8), ((2, 2, 3), 8),
+                                               ((3, 3, 1), 6), ((4, 4, 1), 6),
+                                               ((3, 3, 2), 5)],
+                         ids=["222-8", "223-8", "331-6", "441-6", "332-5"])
+def test_circuit_walk_matches_the_level_scan(extents, max_size):
+    grid = GridSpec(*extents)
+    assert enumerate_minimal(grid, max_size) == _level_scan_minimal(grid, max_size)
+
+
+@pytest.mark.parametrize("extents, max_size, sup_cap", [((2, 2, 3), 8, 8),
+                                                        ((2, 2, 3), 8, 1),
+                                                        ((3, 3, 2), 5, 2)],
+                         ids=["223-8-cap8", "223-8-cap1", "332-5-cap2"])
+def test_survey_norms_match_the_certificate_box_search(extents, max_size, sup_cap):
+    survey = max_weight_survey(GridSpec(*extents), max_size, sup_cap=sup_cap)
+    assert survey.rows
+    for row in survey.rows:
+        assert row.min_sup_norm == _retry_norm(row.point_set, sup_cap)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_time_limit_is_enforced_inside_the_walk(workers):
+    start = time.monotonic()
+    with pytest.raises(BudgetExceeded, match="wall-clock limit reached"):
+        enumerate_minimal(GridSpec(3, 3, 3), 8, workers=workers, time_limit=1.0)
+    assert time.monotonic() - start < 2.5
+
+
+def test_pool_is_never_larger_than_the_job_count(monkeypatch):
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return list(map(fn, jobs))
+
+    monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
+    assert enumerate_minimal(GridSpec(1, 1, 2), 2, workers=10**6) == []
+    assert sizes and max(sizes) <= 2
 
 
 def test_enumerate_small_sizes_are_empty():
@@ -199,9 +309,10 @@ def test_survey_empty_grid():
 
 def test_survey_deterministic_across_workers():
     one = max_weight_survey(GridSpec(2, 2, 2), 5, workers=1)
-    four = max_weight_survey(GridSpec(2, 2, 2), 5, workers=4)
-    assert survey_csv(one) == survey_csv(four)
-    assert survey_payload(one) == survey_payload(four)
+    for workers in (2, 4):
+        more = max_weight_survey(GridSpec(2, 2, 2), 5, workers=workers)
+        assert survey_csv(one) == survey_csv(more)
+        assert survey_payload(one) == survey_payload(more)
 
 
 def test_survey_csv_shape():
