@@ -67,7 +67,7 @@ def cmd_check(args) -> int:
                "set": core.points_payload(ps)}
     lines = [f"verdict: {verdict.kind}", f"route: {route}"]
     if verdict.certificate is not None:
-        payload["certificate"] = decide.certificate_payload(verdict.certificate)
+        payload["certificate"] = list(verdict.certificate.weights)
         lines.append("certificate: " + " ".join(str(w) for w in verdict.certificate.weights))
     _emit(payload, args.json, lines)
     return 0 if verdict.basic else 1
@@ -75,24 +75,13 @@ def cmd_check(args) -> int:
 
 def _read_values(text: str, dim: int) -> dict[tuple[int, ...], Fraction]:
     values: dict[tuple[int, ...], Fraction] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if len(tokens) != dim + 1:
+    for lineno, row in core.numbered_lines(text, int, last=Fraction):
+        if len(row) != dim + 1:
             raise ParseError(f"expected {dim} coordinates and one value", line=lineno)
-        try:
-            point = tuple(int(tok) for tok in tokens[:dim])
-        except ValueError:
-            raise ParseError("coordinates must be integers", line=lineno)
-        try:
-            value = Fraction(tokens[dim])
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"{tokens[dim]!r} is not an exact rational", line=lineno)
+        point = row[:dim]
         if point in values:
             raise ParseError(f"duplicate value for point {point}", line=lineno)
-        values[point] = value
+        values[point] = row[dim]
     return values
 
 
@@ -102,7 +91,8 @@ def cmd_decompose(args) -> int:
     ps = PointSet.from_canonical(canon, dim)
     raw_values = _read_values(_read_text(args.values), dim)
     missing = [p for p in rows if p not in raw_values]
-    extra = [p for p in raw_values if p not in set(rows)]
+    known = set(rows)
+    extra = [p for p in raw_values if p not in known]
     if missing or extra:
         parts = []
         if missing:
@@ -130,7 +120,7 @@ def cmd_decompose(args) -> int:
     ordered_raw = [rp for _, rp in sorted(zip(canon, rows))]
     payload = {"command": "decompose", "status": "witness",
                "set": core.points_payload(ps),
-               "witness": {"certificate": decide.certificate_payload(result.certificate),
+               "witness": {"certificate": list(result.certificate.weights),
                            "pairing": str(result.pairing),
                            "points": [list(p) for p in ordered_raw]}}
     lines = ["not decomposable",
@@ -154,15 +144,13 @@ def cmd_graph(args) -> int:
                      f"{'bipartite' if c.bipartite else 'non-bipartite'}")
     status = 0 if basic else 1
     if args.values is not None:
-        tokens = [line.split("#", 1)[0].strip()
-                  for line in _read_text(args.values).splitlines()]
-        tokens = [t for t in tokens if t]
-        if len(tokens) != g.n:
-            raise ParseError(f"expected {g.n} vertex values, got {len(tokens)}")
-        try:
-            b = [Fraction(t) for t in tokens]
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"vertex values must be exact rationals: {exc}")
+        b: list[Fraction] = []
+        for lineno, row in core.numbered_lines(_read_text(args.values), Fraction):
+            if len(row) != 1:
+                raise ParseError(f"expected one vertex value, got {len(row)}", line=lineno)
+            b.extend(row)
+        if len(b) != g.n:
+            raise ParseError(f"expected {g.n} vertex values, got {len(b)}")
         try:
             assignment = graphs.solve_edges(g, b)
         except graphs.EdgeUnsolvable as exc:

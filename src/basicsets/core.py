@@ -122,10 +122,6 @@ class PointSet:
     def __contains__(self, point) -> bool:
         return tuple(point) in self.points
 
-    def position(self, point) -> int:
-        """Index of `point` in canonical order."""
-        return self.points.index(tuple(point))
-
 
 ExactScalar = int | str | Fraction
 
@@ -204,23 +200,48 @@ def slices_of(ps: PointSet) -> list[tuple[SliceId, tuple[int, ...]]]:
 # '#' starts a comment.  JSON: {"dim": 3, "points": [[x, y, z], ...]}.
 # Both reject duplicate points; both produce the canonicalized set.
 
+_KIND_NAMES = {int: "an integer", Fraction: "an exact rational"}
+
+
+def numbered_lines(text: str, kind=int, last=None):
+    """(line number, numbers) for every line that has tokens before its '#'.
+
+    Tokens are read with `kind` (int or Fraction), the last one with `last`
+    when given.  A token that does not read raises ParseError at its line
+    and column.  All line-based text inputs go through here.
+    """
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        try:
+            if last is None:
+                row = tuple(map(kind, tokens))
+            else:
+                row = (*map(kind, tokens[:-1]), last(tokens[-1]))
+        except (ValueError, ZeroDivisionError):
+            raise _bad_token(raw, tokens, lineno, kind, last) from None
+        yield lineno, row
+
+
+def _bad_token(raw: str, tokens: list[str], lineno: int, kind, last) -> ParseError:
+    column = 0
+    for i, tok in enumerate(tokens):
+        column = raw.index(tok, column)
+        read = last if last is not None and i == len(tokens) - 1 else kind
+        try:
+            read(tok)
+        except (ValueError, ZeroDivisionError):
+            return ParseError(f"{tok!r} is not {_KIND_NAMES[read]}", line=lineno,
+                              column=column + 1)
+        column += len(tok)
+    raise AssertionError("every token of the line reads")
+
+
 def read_points_text(text: str) -> list[Point]:
-    rows: list[Point] = []
     seen: dict[Point, int] = {}
     dim = None
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        coords = []
-        for tok in tokens:
-            try:
-                coords.append(int(tok))
-            except ValueError:
-                raise ParseError(f"{tok!r} is not an integer coordinate",
-                                 line=lineno, column=raw_line.find(tok) + 1)
-        point = tuple(coords)
+    for lineno, point in numbered_lines(text):
         if dim is None:
             if len(point) not in (2, 3):
                 raise ParseError(f"expected 2 or 3 coordinates, got {len(point)}", line=lineno)
@@ -230,8 +251,7 @@ def read_points_text(text: str) -> list[Point]:
         if point in seen:
             raise ParseError(f"duplicate point {point} (first at line {seen[point]})", line=lineno)
         seen[point] = lineno
-        rows.append(point)
-    return rows
+    return list(seen)
 
 
 def read_points_json(text: str) -> tuple[int, list[Point]]:
@@ -270,17 +290,6 @@ def _file_dim(found: int | None, dim: int | None) -> int:
     if dim is not None and found != dim:
         raise ParseError(f"expected {dim}-D points, the input has {found}-D points")
     return found
-
-
-def parse_points_text(text: str, dim: int | None = None) -> PointSet:
-    """Parse the text format; a given `dim` must match the points' arity."""
-    rows = read_points_text(text)
-    return canonicalize(rows, dim=_file_dim(len(rows[0]) if rows else None, dim))
-
-
-def parse_points_json(text: str) -> PointSet:
-    dim, rows = read_points_json(text)
-    return canonicalize(rows, dim=dim)
 
 
 def read_points(text: str, dim: int | None = None) -> tuple[int, list[Point]]:

@@ -248,21 +248,3 @@ def coloring_certificate(ps: PointSet, coloring: Mapping[Point, Color]) -> Certi
             return InvalidColoring(sid, black, white)
     raw = [1 if coloring[p] is Color.BLACK else -1 for p in ps.points]
     return Certificate(tuple(ratlin.primitive_integer(raw)))
-
-
-# ---------------------------------------------------------------------------
-# JSON payload helpers.  Certificates serialize as integer arrays in
-# canonical point order; decompositions as one {value: rational-string}
-# table per axis.  Rationals are strings, never floats.
-
-def certificate_payload(cert: Certificate) -> list[int]:
-    return list(cert.weights)
-
-
-def decomposition_payload(dec: Decomposition) -> dict[str, dict[str, str]]:
-    return {f"f{a + 1}": {str(v): str(x) for v, x in sorted(table.items())}
-            for a, table in enumerate(dec.tables)}
-
-
-def witness_payload(w: Witness) -> dict:
-    return {"certificate": certificate_payload(w.certificate), "pairing": str(w.pairing)}

@@ -81,36 +81,21 @@ def is_lightning(slice_id: SliceId, pts: Sequence[Point]) -> LightningShape:
 
 
 @dataclass(frozen=True)
-class Lightning:
-    slice_id: SliceId
-    points: tuple[Point, ...]
-
-    def __post_init__(self):
-        if not is_lightning(self.slice_id, self.points).lightning:
-            raise ValueError("sequence is not a lightning")
-
-
-@dataclass(frozen=True)
 class ClosedLightning:
     """Lightning of length 2l+1 whose last point closes on the first."""
 
     slice_id: SliceId
     points: tuple[Point, ...]
-    simple: bool
 
     def __post_init__(self):
         shape = is_lightning(self.slice_id, self.points)
         if not (shape.lightning and shape.closed):
             raise ValueError("sequence is not a closed lightning")
-        if self.simple != shape.simple:
-            raise ValueError("simple flag does not match the sequence")
 
-    @classmethod
-    def from_sequence(cls, slice_id: SliceId, pts: Sequence[Point]) -> "ClosedLightning":
-        shape = is_lightning(slice_id, pts)
-        if not (shape.lightning and shape.closed):
-            raise ValueError("sequence is not a closed lightning")
-        return cls(slice_id, tuple(tuple(p) for p in pts), shape.simple)
+    @property
+    def simple(self) -> bool:
+        """No vertex repeats."""
+        return len(set(self.vertices())) == len(self.vertices())
 
     @property
     def l(self) -> int:
@@ -151,7 +136,7 @@ def closed_lightning(slice_id: SliceId, l: int, seed: int = 0) -> ClosedLightnin
         coords[u_axis] = uval
         coords[v_axis] = vval
         pts.append(tuple(coords))
-    return ClosedLightning(slice_id, tuple(pts), simple=True)
+    return ClosedLightning(slice_id, tuple(pts))
 
 
 def alternating_coloring(cl: ClosedLightning) -> dict[Point, Color]:

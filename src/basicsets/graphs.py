@@ -13,7 +13,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import ParseError, PointSet, SliceId, axes_for, slices_of
+from .core import ParseError, PointSet, SliceId, axes_for, numbered_lines, slices_of
 from . import decide, ratlin
 from .ratlin import RatMatrix
 
@@ -236,33 +236,19 @@ def fast_is_basic(ps: PointSet) -> FastResult:
 # (0-based vertex numbers); '#' starts a comment.
 
 def parse_graph_text(text: str) -> Graph:
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append((lineno, line))
+    lines = list(numbered_lines(text))
     if not lines:
         raise ParseError("empty graph file; expected a header line 'n m'")
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2 or not all(p.lstrip("-").isdigit() for p in parts):
+    (lineno, header), edges = lines[0], lines[1:]
+    if len(header) != 2:
         raise ParseError("header must be two integers 'n m'", line=lineno)
-    n, m = int(parts[0]), int(parts[1])
-    if len(lines) - 1 != m:
-        raise ParseError(f"header declares {m} edges, file has {len(lines) - 1}")
-    edges = []
-    for lineno, line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 2 or not all(p.lstrip("-").isdigit() for p in parts):
+    n, m = header
+    if len(edges) != m:
+        raise ParseError(f"header declares {m} edges, file has {len(edges)}", line=lineno)
+    for lineno, edge in edges:
+        if len(edge) != 2:
             raise ParseError("edge line must be two integers 'u v'", line=lineno)
-        edges.append((int(parts[0]), int(parts[1])))
     try:
-        return Graph.from_edges(n, edges)
+        return Graph.from_edges(n, [edge for _, edge in edges])
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-
-
-def format_graph_text(g: Graph) -> str:
-    out = [f"{g.n} {len(g.edges)}"]
-    out.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(out) + "\n"

@@ -7,7 +7,7 @@ import jsonschema
 import pytest
 
 from basicsets import cli
-from basicsets.core import parse_points_text
+from basicsets.core import parse_points_auto
 
 EX2_TEXT = "0 0 0\n0 1 0\n1 0 0\n0 0 1\n1 1 1\n"
 EXAMPLE1_TEXT = "0 1 0\n1 0 0\n0 0 1\n1 1 1\n"
@@ -156,10 +156,58 @@ def test_graph_single_edge_unsolvable(tmp_path, capsys, schema):
     assert payload["unsolvable"]["difference"] in ("1", "-1")
 
 
+# (subcommand, the files it reads, the start of its error message)
+TEXT_INPUT_FAULTS = [
+    ("check", {"input": "0 0 0\n0 q 0\n"},
+     "line 2, column 3: 'q' is not an integer\n"),
+    ("check", {"input": "0 0 0\n1 1\n"}, "line 2: expected 3 coordinates"),
+    ("check", {"input": "0 0 0\n1 1 1\n0 0 0\n"}, "line 3: duplicate point"),
+    ("decompose", {"input": "0 0 0\n1 1 1.5\n", "values": "0 0 0 1\n"},
+     "line 2, column 5: '1.5' is not an integer"),
+    ("decompose", {"input": EX2_TEXT, "values": "0 0 0 1\n0 x 0 2\n"},
+     "line 2, column 3: 'x' is not an integer"),
+    ("decompose", {"input": EX2_TEXT, "values": "# f\n0 0 0 1/0\n"},
+     "line 2, column 7: '1/0' is not an exact rational"),
+    ("decompose", {"input": EX2_TEXT, "values": "0 0 0\n"},
+     "line 1: expected 3 coordinates and one value"),
+    ("decompose", {"input": EX2_TEXT, "values": "0 0 0 1\n0 0 0 2\n"},
+     "line 2: duplicate value for point"),
+    ("graph", {"input": "2 1\n0 --1\n"}, "line 2, column 3: '--1' is not an integer"),
+    ("graph", {"input": "2 1\n0 \u00b2\n"}, "line 2, column 3: '\u00b2' is not an integer"),
+    ("graph", {"input": "2 x\n0 1\n"}, "line 1, column 3: 'x' is not an integer"),
+    ("graph", {"input": "# g\n2\n0 1\n"}, "line 2: header must be two integers"),
+    ("graph", {"input": "2 1\n0 1 1\n"}, "line 2: edge line must be two integers"),
+    ("graph", {"input": "\n2 2\n0 1\n"}, "line 2: header declares 2 edges, file has 1"),
+    ("graph", {"input": "2 1\n0 1\n", "values": "1\n1/0\n"},
+     "line 2, column 1: '1/0' is not an exact rational"),
+    ("graph", {"input": "2 1\n0 1\n", "values": "1\n  1 x\n"},
+     "line 2, column 5: 'x' is not an exact rational"),
+    ("graph", {"input": "2 1\n0 1\n", "values": "2 3\n"},
+     "line 1: expected one vertex value, got 2"),
+    ("graph", {"input": "2 1\n0 1\n", "values": "1\n"}, "expected 2 vertex values, got 1"),
+]
+
+
+@pytest.mark.parametrize("command, files, prefix", TEXT_INPUT_FAULTS)
+def test_text_input_faults_name_their_line(tmp_path, capsys, command, files, prefix):
+    args = [command, write(tmp_path, "input.txt", files["input"])]
+    if "values" in files:
+        args += ["--values", write(tmp_path, "values.txt", files["values"])]
+    code, _, err = run_cli(args, capsys)
+    assert code == 2
+    assert err.startswith("error: " + prefix), err
+
+
+def test_graph_tokens_read_like_point_coordinates(tmp_path, capsys):
+    path = write(tmp_path, "signed.txt", "+3 +3\n0 1\n1 2\n+0 2\n")
+    code, out, _ = run_cli(["graph", path], capsys)
+    assert code == 0 and "graph basic: yes" in out
+
+
 def test_generate_lightning_round_trips(tmp_path, capsys, schema):
     code, out, _ = run_cli(["generate", "lightning", "--l", "3", "--seed", "5"], capsys)
     assert code == 0
-    ps = parse_points_text(out)
+    ps = parse_points_auto(out)
     assert len(ps) == 6
     again_code, again_out, _ = run_cli(["generate", "lightning", "--l", "3",
                                         "--seed", "5"], capsys)
@@ -190,7 +238,7 @@ def test_generate_boyarov_from_input_file(tmp_path, capsys):
                             "--a", "0,0,0", "--b", "0,1,0", "--offset", "1",
                             "--translate-axis", "z"], capsys)
     assert code == 0
-    assert len(parse_points_text(out)) == 5
+    assert len(parse_points_auto(out)) == 5
     code, _, err = run_cli(["generate", "boyarov", "--a", "0,0,0", "--b", "0,1,0",
                             "--offset", "1"], capsys)
     assert code == 2 and "exactly one" in err
@@ -254,7 +302,7 @@ def test_fixtures_listing_and_round_trip(tmp_path, capsys, schema):
     for name in ("example1", "ex2", "cube8"):
         assert name in out
     code, out, _ = run_cli(["fixtures", "cube8"], capsys)
-    ps = parse_points_text(out)
+    ps = parse_points_auto(out)
     assert len(ps) == 8
     code, payload = run_json(["fixtures", "--json"], capsys, schema)
     assert set(payload["sets"]) == {"example1", "ex2", "cube8"}

@@ -89,7 +89,7 @@ def test_construction_split_identity_returns_the_lightning():
 
 
 def test_construction_split_balanced_pairs():
-    cl = ClosedLightning.from_sequence(Z0, RECT_SEQ)
+    cl = ClosedLightning(Z0, tuple(RECT_SEQ))
     v = cl.vertices()
     # adjacent pairs are one black plus one white each
     grouping = {v[0]: 0, v[1]: 0, v[2]: 1, v[3]: 1}
@@ -105,7 +105,7 @@ def test_construction_split_balanced_pairs():
 
 
 def test_construction_split_rejects_same_color_diagonals():
-    cl = ClosedLightning.from_sequence(Z0, RECT_SEQ)
+    cl = ClosedLightning(Z0, tuple(RECT_SEQ))
     v = cl.vertices()
     # opposite corners carry the same color, so the diagonals are unbalanced
     grouping = {v[0]: 0, v[2]: 0, v[1]: 1, v[3]: 1}

@@ -246,7 +246,7 @@ def test_certificates_extend_by_zeros_to_supersets():
     cert = is_basic(ps).certificate
     bigger = PointSet.from_points(EX2 + [(7, 7, 7)])
     extended = list(cert.weights)
-    extended.insert(bigger.position((7, 7, 7)), 0)
+    extended.insert(bigger.points.index((7, 7, 7)), 0)
     assert all(s == 0 for s in slice_sums(bigger, extended).values())
     assert not is_basic(bigger).basic
 
