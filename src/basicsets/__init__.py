@@ -5,9 +5,8 @@ The root exports the README's library calls and the types they return;
 every other name lives at `basicsets.<module>.<name>`.
 """
 
-from .core import ParseError, PointSet, canonicalize
+from .core import ParseError, PointSet, canonicalize, fixtures
 from .decide import Certificate, Decomposition, Verdict, Witness, decompose, is_basic
-from .generators import fixtures
 
 __version__ = "0.1.0"
 

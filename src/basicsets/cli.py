@@ -11,7 +11,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import core, decide, generators, graphs, search
+from . import core, decide, graphs, search
 from .core import Axis, ParseError, PointSet, SliceId
 
 
@@ -177,6 +177,8 @@ def _print_set(ps: PointSet, args, kind: str, meta: dict) -> None:
 
 
 def cmd_generate(args) -> int:
+    from . import generators  # only this command needs the constructions
+
     slice_id = SliceId(args.axis, args.value) if hasattr(args, "axis") else None
     if args.kind == "lightning":
         cl = generators.closed_lightning(slice_id, args.l, seed=args.seed)
@@ -199,7 +201,7 @@ def cmd_generate(args) -> int:
         if (args.input is None) == (args.fixture is None):
             raise ParseError("give exactly one of --input or --fixture")
         if args.fixture is not None:
-            named = generators.fixtures()
+            named = core.fixtures()
             if args.fixture not in named:
                 raise ParseError(f"unknown fixture {args.fixture!r}; "
                                  f"choose from {sorted(named)}")
@@ -229,7 +231,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
-    named = generators.fixtures()
+    named = core.fixtures()
     if args.name is not None:
         if args.name not in named:
             raise ParseError(f"unknown fixture {args.name!r}; choose from {sorted(named)}")

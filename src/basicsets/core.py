@@ -195,6 +195,22 @@ def slices_of(ps: PointSet) -> list[tuple[SliceId, tuple[int, ...]]]:
     return out
 
 
+def fixtures() -> dict[str, PointSet]:
+    """The standard example sets, exactly as usually printed.
+
+    example1: four cube vertices whose slice graph is K4 (basic);
+    ex2: five cube vertices, the smallest set whose certificates need a
+    weight of 2; cube8: eight points with no two sharing two coordinates,
+    yet non-basic with a +/-1 certificate.
+    """
+    return {
+        "example1": PointSet.from_points([(0, 1, 0), (1, 0, 0), (0, 0, 1), (1, 1, 1)]),
+        "ex2": PointSet.from_points([(0, 0, 0), (0, 1, 0), (1, 0, 0), (0, 0, 1), (1, 1, 1)]),
+        "cube8": PointSet.from_points([(3, 0, 0), (2, 1, 0), (1, 2, 0), (0, 3, 0),
+                                       (0, 0, 1), (1, 1, 1), (2, 2, 1), (3, 3, 1)]),
+    }
+
+
 # ---------------------------------------------------------------------------
 # External formats.  Text: one point per line, whitespace-separated integers,
 # '#' starts a comment.  JSON: {"dim": 3, "points": [[x, y, z], ...]}.

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .core import Point, PointSet, SliceId, axes_for, slices_of
 from . import ratlin
@@ -28,8 +28,7 @@ class NotNonBasic(ValueError):
     """An operation that needs a non-basic set was given a basic one."""
 
 
-@dataclass(frozen=True)
-class SliceMatrix:
+class SliceMatrix(NamedTuple):
     """0/1 incidence of points (rows) against slices (columns)."""
 
     matrix: RatMatrix
@@ -90,8 +89,7 @@ class Color(Enum):
     WHITE = "white"
 
 
-@dataclass(frozen=True)
-class InvalidColoring:
+class InvalidColoring(NamedTuple):
     """Names a slice whose two color counts differ."""
 
     slice_id: SliceId

@@ -8,18 +8,24 @@ linearly independent.
 """
 
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import ParseError, PointSet, SliceId, axes_for, numbered_lines, slices_of
 from . import decide, ratlin
 from .ratlin import RatMatrix
 
 
-@dataclass(frozen=True)
-class Graph:
+class EdgeFault(ValueError):
+    """An edge leaves the vertex range or is a self-loop; `index` is its position."""
+
+    def __init__(self, index: int, message: str):
+        self.index = index
+        super().__init__(message)
+
+
+class Graph(NamedTuple):
     """Undirected multigraph; parallel edges allowed, self-loops not."""
 
     n: int
@@ -30,12 +36,11 @@ class Graph:
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         normalized = []
-        for e in edges:
-            u, v = e
+        for index, (u, v) in enumerate(edges):
             if not 0 <= u < n or not 0 <= v < n:
-                raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
+                raise EdgeFault(index, f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
             if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
+                raise EdgeFault(index, f"self-loop at vertex {u}")
             normalized.append((min(u, v), max(u, v)))
         return cls(n, tuple(sorted(normalized)))
 
@@ -48,15 +53,13 @@ class Graph:
         return adj
 
 
-@dataclass(frozen=True)
-class ComponentInfo:
+class ComponentInfo(NamedTuple):
     vertices: tuple[int, ...]
     bipartite: bool
     coloring: dict | None  # vertex -> 0/1 when bipartite
 
 
-@dataclass(frozen=True)
-class NotTwoRegular:
+class NotTwoRegular(NamedTuple):
     """Names the first slice that does not hold exactly two points."""
 
     slice_id: SliceId
@@ -78,8 +81,7 @@ class EdgeUnsolvable(ratlin.Unsolvable):
             f"bipartite component {component.vertices} has part-sum difference {difference}")
 
 
-@dataclass(frozen=True)
-class EdgeAssignment:
+class EdgeAssignment(NamedTuple):
     """Edge values aligned with graph.edges; parallel edges count separately."""
 
     graph: Graph
@@ -190,8 +192,7 @@ class FastKind(Enum):
     INAPPLICABLE = "inapplicable"
 
 
-@dataclass(frozen=True)
-class FastResult:
+class FastResult(NamedTuple):
     kind: FastKind
     route: str
 
@@ -239,16 +240,18 @@ def parse_graph_text(text: str) -> Graph:
     lines = list(numbered_lines(text))
     if not lines:
         raise ParseError("empty graph file; expected a header line 'n m'")
-    (lineno, header), edges = lines[0], lines[1:]
+    (header_line, header), edges = lines[0], lines[1:]
     if len(header) != 2:
-        raise ParseError("header must be two integers 'n m'", line=lineno)
+        raise ParseError("header must be two integers 'n m'", line=header_line)
     n, m = header
     if len(edges) != m:
-        raise ParseError(f"header declares {m} edges, file has {len(edges)}", line=lineno)
+        raise ParseError(f"header declares {m} edges, file has {len(edges)}", line=header_line)
     for lineno, edge in edges:
         if len(edge) != 2:
             raise ParseError("edge line must be two integers 'u v'", line=lineno)
     try:
         return Graph.from_edges(n, [edge for _, edge in edges])
+    except EdgeFault as exc:
+        raise ParseError(str(exc), line=edges[exc.index][0]) from exc
     except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+        raise ParseError(str(exc), line=header_line) from exc

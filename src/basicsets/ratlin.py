@@ -5,7 +5,8 @@ so there is nothing to stabilize), and a canonical free-variables-zero
 solution convention so that solutions and kernel vectors are reproducible.
 Instances stay desk-scale.  The library decides, solves and finds witnesses
 with one sparse elimination over Python ints, circuits; first_circuit and
-column_solve are built on it.  The dense routines remain as references.
+column_solve are built on it, and the circuit walk of search extends an
+echelon with its reduction step.  The dense routines remain as references.
 """
 
 from fractions import Fraction
@@ -187,6 +188,27 @@ def _combine(u: dict[int, int], s: int, v: Mapping[int, int], t: int) -> dict[in
     return out
 
 
+def _reduce(echelon: Mapping[int, tuple[dict[int, int], dict[int, int]]],
+            row: Mapping[int, int], index: int) -> tuple[dict[int, int], dict[int, int]]:
+    # Row `index` reduced against the echelon: (residual, tag).  The tag is
+    # the residual's combination of input rows, and an empty residual means
+    # the row depends on the stored rows.  Neither the echelon nor its rows
+    # are changed.
+    vec = {c: x for c, x in row.items() if x}
+    tag = {index: 1}
+    while vec and (lead := min(vec)) in echelon:
+        pivot_row, pivot_tag = echelon[lead]
+        g = gcd(vec[lead], pivot_row[lead])
+        s, t = pivot_row[lead] // g, -vec[lead] // g
+        vec = _combine(vec, s, pivot_row, t)
+        tag = _combine(tag, s, pivot_tag, t)
+        content = gcd(*vec.values(), *tag.values())
+        if content != 1:
+            vec = {c: x // content for c, x in vec.items()}
+            tag = {i: x // content for i, x in tag.items()}
+    return vec, tag
+
+
 def circuits(rows: Sequence[Mapping[int, int]]) -> Iterator[dict[int, int]]:
     """The fundamental circuit of every dependent sparse integer row, in order.
 
@@ -203,20 +225,9 @@ def circuits(rows: Sequence[Mapping[int, int]]) -> Iterator[dict[int, int]]:
     """
     echelon: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
     for index, row in enumerate(rows):
-        vec = {c: x for c, x in row.items() if x}
-        tag = {index: 1}
-        while vec and (lead := min(vec)) in echelon:
-            pivot_row, pivot_tag = echelon[lead]
-            g = gcd(vec[lead], pivot_row[lead])
-            s, t = pivot_row[lead] // g, -vec[lead] // g
-            vec = _combine(vec, s, pivot_row, t)
-            tag = _combine(tag, s, pivot_tag, t)
-            content = gcd(*vec.values(), *tag.values())
-            if content != 1:
-                vec = {c: x // content for c, x in vec.items()}
-                tag = {i: x // content for i, x in tag.items()}
+        vec, tag = _reduce(echelon, row, index)
         if vec:
-            echelon[lead] = (vec, tag)
+            echelon[min(vec)] = (vec, tag)
         else:
             yield tag
 

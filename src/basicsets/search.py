@@ -3,11 +3,13 @@
 The inclusion-minimal non-basic subsets of a grid are the circuits of the
 row matroid of its slice matrix.  A depth-first walk over independent sets
 in index order finds each circuit exactly once, from the circuit minus its
-greatest point.  A circuit's kernel is a line, so its least sup-norm
-certificate is its primitive circuit vector; for other non-basic sets,
-certificates of least sup-norm come from exhausting integer coefficient
-boxes over the canonical kernel basis.  All output is deterministic and
-independent of the worker count.
+greatest point.  The walk extends one echelon by one row per level, so each
+candidate point costs one reduction, not an elimination of the whole path.
+A circuit's kernel is a line, so its least sup-norm certificate is its
+primitive circuit vector; for other non-basic sets, certificates of least
+sup-norm come from exhausting integer coefficient boxes over the canonical
+kernel basis.  All output is deterministic and independent of the worker
+count.
 """
 
 import csv
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 from math import comb
+from typing import NamedTuple
 
 from .core import Point, PointSet
 from . import decide, ratlin
@@ -55,8 +58,7 @@ class GridSpec:
                             for z in range(self.nz)))
 
 
-@dataclass(frozen=True)
-class MinimalityReport:
+class MinimalityReport(NamedTuple):
     point_set: PointSet
     is_nonbasic: bool
     minimal: bool
@@ -85,27 +87,30 @@ def is_minimal_nonbasic(ps: PointSet) -> MinimalityReport:
 def _circuits_from(args) -> list[tuple[int, ...]]:
     """Worker: index tuples of the circuits whose least index is `first`.
 
-    A path is an independent, increasing index tuple.  Because the path is
-    independent, the first circuit of its rows plus row j is j's fundamental
-    circuit, and path + (j,) is a circuit exactly when every path row has a
+    A path is an independent, increasing index tuple, and each node of the
+    walk keeps the echelon of its path's rows.  A candidate row j is reduced
+    once against it: a nonzero residual extends the path, and the child's
+    echelon is a shallow copy plus that one row (stored rows are never
+    changed).  A zero residual's tag is j's fundamental circuit over the
+    path, and path + (j,) is a circuit exactly when every path row has a
     coefficient in it.  Each circuit C is reached once, from C - max(C).
     """
     rows, first, max_size, deadline = args
     found = []
 
-    def grow(path: tuple[int, ...]) -> None:
+    def grow(path: tuple[int, ...], echelon: dict) -> None:
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExceeded("wall-clock limit reached")
-        path_rows = [rows[i] for i in path]
         for j in range(path[-1] + 1, len(rows)):
-            tag = ratlin.first_circuit(path_rows + [rows[j]])
-            if tag is None:
+            vec, tag = ratlin._reduce(echelon, rows[j], j)
+            if vec:
                 if len(path) + 1 < max_size:
-                    grow(path + (j,))
+                    grow(path + (j,), {**echelon, min(vec): (vec, tag)})
             elif len(tag) == len(path) + 1:
                 found.append(path + (j,))
 
-    grow((first,))
+    vec, tag = ratlin._reduce({}, rows[first], first)
+    grow((first,), {min(vec): (vec, tag)})
     return found
 
 
@@ -221,16 +226,14 @@ def minimize_certificate(ps: PointSet, sup_bound: int) -> Certificate:
     return cert
 
 
-@dataclass(frozen=True)
-class SurveyRow:
+class SurveyRow(NamedTuple):
     point_set: PointSet
     size: int
     minimal: bool
     min_sup_norm: int | None
 
 
-@dataclass(frozen=True)
-class Survey:
+class Survey(NamedTuple):
     rows: tuple[SurveyRow, ...]
     max_sup_norm: int | None
     witnesses: tuple[PointSet, ...]

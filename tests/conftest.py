@@ -3,7 +3,7 @@ import random
 import pytest
 
 from basicsets import PointSet, decide
-from basicsets.generators import fixtures
+from basicsets.core import fixtures
 
 
 @pytest.fixture(scope="session")

@@ -185,6 +185,9 @@ TEXT_INPUT_FAULTS = [
     ("graph", {"input": "2 1\n0 1\n", "values": "2 3\n"},
      "line 1: expected one vertex value, got 2"),
     ("graph", {"input": "2 1\n0 1\n", "values": "1\n"}, "expected 2 vertex values, got 1"),
+    ("graph", {"input": "2 1\n0 0\n"}, "line 2: self-loop at vertex 0"),
+    ("graph", {"input": "# g\n2 2\n0 1\n\n0 5\n"},
+     "line 5: edge (0, 5) has an endpoint outside 0..1"),
 ]
 
 

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 from itertools import product
@@ -6,9 +7,9 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from basicsets.ratlin import (RatMatrix, Unsolvable, ZeroVector, circuits, column_solve, dot,
-                              first_circuit, kernel_basis, primitive_integer, rank, rref,
-                              solve)
+from basicsets.ratlin import (RatMatrix, Unsolvable, ZeroVector, _reduce, circuits,
+                              column_solve, dot, first_circuit, kernel_basis,
+                              primitive_integer, rank, rref, solve)
 
 # transpose of the slice system of the five points (0,0,0), (0,0,1), (0,1,0),
 # (1,0,0), (1,1,1): one row per slice, one column per point
@@ -216,6 +217,54 @@ def test_circuits_are_the_canonical_kernel_basis_in_order(rows):
         assert gcd(*tag.values()) == 1
         scaled.append([Fraction(tag.get(i, 0), tag[own]) for i in range(len(rows))])
     assert scaled == kernel
+
+
+def _parent_circuits(rows):
+    """Reference: the elimination loop with its reduction step written inline."""
+    def combine(u, s, v, t):
+        out = {k: s * x for k, x in u.items()}
+        for k, x in v.items():
+            out[k] = out.get(k, 0) + t * x
+        return {k: x for k, x in out.items() if x}
+
+    echelon = {}
+    for index, row in enumerate(rows):
+        vec = {c: x for c, x in row.items() if x}
+        tag = {index: 1}
+        while vec and (lead := min(vec)) in echelon:
+            pivot_row, pivot_tag = echelon[lead]
+            g = gcd(vec[lead], pivot_row[lead])
+            s, t = pivot_row[lead] // g, -vec[lead] // g
+            vec = combine(vec, s, pivot_row, t)
+            tag = combine(tag, s, pivot_tag, t)
+            content = gcd(*vec.values(), *tag.values())
+            vec = {c: x // content for c, x in vec.items()}
+            tag = {i: x // content for i, x in tag.items()}
+        if vec:
+            echelon[lead] = (vec, tag)
+        else:
+            yield tag
+
+
+sparse_rows = st.lists(st.dictionaries(st.integers(0, 6), st.integers(-6, 6), max_size=4),
+                       max_size=10)
+
+
+@given(sparse_rows)
+def test_circuits_match_the_inline_elimination_loop(rows):
+    assert list(circuits(rows)) == list(_parent_circuits(rows))
+
+
+@given(sparse_rows, st.dictionaries(st.integers(0, 6), st.integers(-6, 6), max_size=4))
+def test_reduce_leaves_the_echelon_unchanged(rows, row):
+    echelon = {}
+    for index, stored in enumerate(rows):
+        vec, tag = _reduce(echelon, stored, index)
+        if vec:
+            echelon[min(vec)] = (vec, tag)
+    before = copy.deepcopy(echelon)
+    _reduce(echelon, row, len(rows))
+    assert echelon == before
 
 
 def test_column_solve_examples():

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from basicsets.core import PointSet
-from basicsets.decide import NotNonBasic, certificate_valid, is_basic, slice_sums
+from basicsets.decide import NotNonBasic, certificate_valid, is_basic, slice_rows, slice_sums
+from basicsets.ratlin import first_circuit
 from basicsets.search import (BudgetExceeded, GridSpec, MinimalityReport,
-                              NoneWithinBound, apply_symmetry, enumerate_minimal,
+                              NoneWithinBound, _circuits_from, apply_symmetry, enumerate_minimal,
                               grid_symmetries, is_minimal_nonbasic,
                               max_weight_survey, minimize_certificate,
                               orbit_representative, survey_csv, survey_payload)
@@ -46,6 +47,25 @@ def _level_scan_minimal(grid, max_size):
         known.extend(level)
     reports.sort(key=lambda r: (len(r.point_set), r.point_set.points))
     return reports
+
+
+def _parent_circuits_from(args):
+    """Reference walk: every candidate eliminates its whole path again."""
+    rows, first, max_size, deadline = args
+    found = []
+
+    def grow(path):
+        path_rows = [rows[i] for i in path]
+        for j in range(path[-1] + 1, len(rows)):
+            tag = first_circuit(path_rows + [rows[j]])
+            if tag is None:
+                if len(path) + 1 < max_size:
+                    grow(path + (j,))
+            elif len(tag) == len(path) + 1:
+                found.append(path + (j,))
+
+    grow((first,))
+    return found
 
 
 def _retry_norm(ps, sup_cap):
@@ -102,6 +122,20 @@ def test_minimality_matches_the_deletion_scan_on_the_333_grid(points):
 def test_circuit_walk_matches_the_level_scan(extents, max_size):
     grid = GridSpec(*extents)
     assert enumerate_minimal(grid, max_size) == _level_scan_minimal(grid, max_size)
+
+
+@pytest.mark.parametrize("extents, max_size, circuits", [((2, 2, 3), 8, 129),
+                                                         ((3, 3, 2), 6, 804),
+                                                         ((3, 3, 3), 5, 459)],
+                         ids=["223-8", "332-6", "333-5"])
+def test_circuit_walk_matches_the_per_candidate_elimination(extents, max_size, circuits):
+    rows = slice_rows(PointSet.from_points(GridSpec(*extents).points(), dim=3))
+    total = 0
+    for first in range(len(rows)):
+        found = _circuits_from((rows, first, max_size, None))
+        assert found == _parent_circuits_from((rows, first, max_size, None))
+        total += len(found)
+    assert total == circuits
 
 
 @pytest.mark.parametrize("extents, max_size, sup_cap", [((2, 2, 3), 8, 8),
