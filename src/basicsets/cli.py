@@ -186,7 +186,10 @@ def cmd_generate(args) -> int:
         _print_set(ps, args, "lightning",
                    {"sequence": [list(p) for p in cl.points], "seed": args.seed})
     elif args.kind == "construction":
-        offsets = [int(tok) for tok in args.offsets.split(",")]
+        try:
+            offsets = [int(tok) for tok in args.offsets.split(",")]
+        except ValueError:
+            raise ParseError(f"--offsets takes comma-separated integers, got {args.offsets!r}")
         cl = generators.closed_lightning(slice_id, args.l, seed=args.seed)
         vertices = cl.vertices()
         grouping = {}

@@ -1,12 +1,12 @@
-"""Exact linear algebra over arbitrary-precision rationals.
+"""Exact linear algebra over Python ints and rationals.
 
-Dense matrices, deterministic first-nonzero pivoting (arithmetic is exact,
-so there is nothing to stabilize), and a canonical free-variables-zero
-solution convention so that solutions and kernel vectors are reproducible.
-Instances stay desk-scale.  The library decides, solves and finds witnesses
-with one sparse elimination over Python ints, circuits; first_circuit and
-column_solve are built on it, and the circuit walk of search extends an
-echelon with its reduction step.  The dense routines remain as references.
+One sparse integer echelon, circuits, decides, solves and finds witnesses;
+first_circuit and column_solve are built on it, and the circuit walk of
+search extends an echelon with its reduction step.  Pivots are first
+nonzero entries and free variables are zero in solutions, so results are
+reproducible.  The dense Fraction routines (RatMatrix, rref, rank,
+kernel_basis, solve) serve only as test references, and stay until ROADMAP
+item 1 moves the benchmark's traced metrics off their names.
 """
 
 from fractions import Fraction

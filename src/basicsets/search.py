@@ -6,10 +6,11 @@ in index order finds each circuit exactly once, from the circuit minus its
 greatest point.  The walk extends one echelon by one row per level, so each
 candidate point costs one reduction, not an elimination of the whole path.
 A circuit's kernel is a line, so its least sup-norm certificate is its
-primitive circuit vector; for other non-basic sets, certificates of least
-sup-norm come from exhausting integer coefficient boxes over the canonical
-kernel basis.  All output is deterministic and independent of the worker
-count.
+primitive circuit vector, whose sup-norm the walk reports with the circuit.
+Sorting and symmetry dedup run on grid index tuples.  For other non-basic
+sets, certificates of least sup-norm come from exhausting integer
+coefficient boxes over the canonical kernel basis.  All output is
+deterministic and independent of the worker count.
 """
 
 import csv
@@ -52,10 +53,7 @@ class GridSpec:
         return (self.nx, self.ny, self.nz)
 
     def points(self) -> tuple[Point, ...]:
-        return tuple(sorted((x, y, z)
-                            for x in range(self.nx)
-                            for y in range(self.ny)
-                            for z in range(self.nz)))
+        return tuple(product(range(self.nx), range(self.ny), range(self.nz)))
 
 
 class MinimalityReport(NamedTuple):
@@ -84,8 +82,8 @@ def is_minimal_nonbasic(ps: PointSet) -> MinimalityReport:
     return MinimalityReport(ps, True, not failing, failing)
 
 
-def _circuits_from(args) -> list[tuple[int, ...]]:
-    """Worker: index tuples of the circuits whose least index is `first`.
+def _circuits_from(args) -> list[tuple[tuple[int, ...], int]]:
+    """Worker: (index tuple, sup-norm) of each circuit whose least index is `first`.
 
     A path is an independent, increasing index tuple, and each node of the
     walk keeps the echelon of its path's rows.  A candidate row j is reduced
@@ -93,7 +91,8 @@ def _circuits_from(args) -> list[tuple[int, ...]]:
     echelon is a shallow copy plus that one row (stored rows are never
     changed).  A zero residual's tag is j's fundamental circuit over the
     path, and path + (j,) is a circuit exactly when every path row has a
-    coefficient in it.  Each circuit C is reached once, from C - max(C).
+    coefficient in it; the sup-norm is that of the tag's primitive vector.
+    Each circuit C is reached once, from C - max(C).
     """
     rows, first, max_size, deadline = args
     found = []
@@ -107,56 +106,44 @@ def _circuits_from(args) -> list[tuple[int, ...]]:
                 if len(path) + 1 < max_size:
                     grow(path + (j,), {**echelon, min(vec): (vec, tag)})
             elif len(tag) == len(path) + 1:
-                found.append(path + (j,))
+                norm = max(map(abs, ratlin.primitive_integer(list(tag.values()))))
+                found.append((path + (j,), norm))
 
     vec, tag = ratlin._reduce({}, rows[first], first)
     grow((first,), {min(vec): (vec, tag)})
     return found
 
 
-def grid_symmetries(grid: GridSpec) -> list[tuple[tuple[int, int, int], tuple[bool, bool, bool]]]:
-    """Axis permutations preserving the extents, crossed with per-axis value
-    reversals; 48 elements for a cubic grid."""
-    out = []
+def grid_symmetries(grid: GridSpec) -> list[tuple[int, ...]]:
+    """Each grid symmetry once, as the tuple of the images' grid indices.
+
+    Axis permutations preserving the extents, crossed with per-axis value
+    reversals: 48 for a cubic grid, fewer when an extent is 1.
+    """
+    points = grid.points()
+    index = {p: i for i, p in enumerate(points)}
+    ext = grid.extents
+    out = {}
     for perm in permutations(range(3)):
-        if tuple(grid.extents[perm[i]] for i in range(3)) != grid.extents:
+        if tuple(ext[a] for a in perm) != ext:
             continue
         for flips in product((False, True), repeat=3):
-            out.append((perm, flips))
-    return out
+            image = tuple(index[tuple(ext[a] - 1 - p[perm[a]] if flips[a] else p[perm[a]]
+                                      for a in range(3))]
+                          for p in points)
+            out.setdefault(image)
+    return list(out)
 
 
-def apply_symmetry(points, grid: GridSpec, perm, flips) -> tuple[Point, ...]:
-    moved = []
-    for p in points:
-        q = tuple(p[perm[i]] for i in range(3))
-        q = tuple(grid.extents[i] - 1 - q[i] if flips[i] else q[i] for i in range(3))
-        moved.append(q)
-    return tuple(sorted(moved))
-
-
-def orbit_representative(points, grid: GridSpec, symmetries=None) -> tuple[Point, ...]:
-    if symmetries is None:
-        symmetries = grid_symmetries(grid)
-    return min(apply_symmetry(points, grid, perm, flips) for perm, flips in symmetries)
-
-
-def enumerate_minimal(grid: GridSpec, max_size: int, *, dedup: bool = False,
-                      workers: int = 1, budget: int = DEFAULT_BUDGET,
-                      time_limit: float | None = DEFAULT_TIME_LIMIT) -> list[MinimalityReport]:
-    """All inclusion-minimal non-basic subsets of the grid up to max_size.
-
-    These are the circuits of the grid's point rows, found by a depth-first
-    walk with one job per least index.  Reports come in canonical order
-    (size, then point tuples).  With dedup on, only the least set of each
-    grid-symmetry orbit is kept.  The budget bounds the number of subsets
-    up to max_size, and the time limit is checked at every node of the
-    walk.  The output is identical for any worker count.
-    """
-    if max_size < 0:
-        raise ValueError(f"max size must be at least 0, got {max_size}")
-    if workers < 1:
-        raise ValueError(f"worker count must be at least 1, got {workers}")
+def _minimal_sets(grid: GridSpec, max_size: int, dedup: bool, workers: int, budget: int,
+                  time_limit: float | None) -> list[tuple[PointSet, int]]:
+    """enumerate_minimal's point sets with their sup-norms.  Grid points are
+    sorted, so circuits are sorted and deduplicated as index tuples; an orbit
+    keeps the circuit equal to the least sorted image of its indices."""
+    for name, value, least in (("max size", max_size, 0), ("worker count", workers, 1),
+                               ("budget", budget, 0), ("time limit", time_limit or 0, 0)):
+        if not value >= least:  # also rejects a NaN time limit
+            raise ValueError(f"{name} must be at least {least}, got {value}")
     grid_points = grid.points()
     n = len(grid_points)
     if sum(comb(n, k) for k in range(1, min(max_size, n) + 1)) > budget:
@@ -171,16 +158,30 @@ def enumerate_minimal(grid: GridSpec, max_size: int, *, dedup: bool = False,
             found = pool.map(_circuits_from, jobs)
     else:
         found = map(_circuits_from, jobs)
-    reports = [MinimalityReport(PointSet.from_points([grid_points[i] for i in c], dim=3),
-                                True, True, ())
-               for sub in found for c in sub]
-    reports.sort(key=lambda r: (len(r.point_set), r.point_set.points))
+    circuits = sorted((pair for sub in found for pair in sub),
+                      key=lambda pair: (len(pair[0]), pair[0]))
     if dedup:
         symmetries = grid_symmetries(grid)
-        reports = [r for r in reports
-                   if r.point_set.points == orbit_representative(
-                       r.point_set.points, grid, symmetries)]
-    return reports
+        circuits = [(c, norm) for c, norm in circuits
+                    if c == min(tuple(sorted(s[i] for i in c)) for s in symmetries)]
+    return [(PointSet.from_points([grid_points[i] for i in c], dim=3), norm)
+            for c, norm in circuits]
+
+
+def enumerate_minimal(grid: GridSpec, max_size: int, *, dedup: bool = False,
+                      workers: int = 1, budget: int = DEFAULT_BUDGET,
+                      time_limit: float | None = DEFAULT_TIME_LIMIT) -> list[MinimalityReport]:
+    """All inclusion-minimal non-basic subsets of the grid up to max_size.
+
+    These are the circuits of the grid's point rows, found by a depth-first
+    walk with one job per least index.  Reports come in canonical order
+    (size, then point tuples).  With dedup on, only the least set of each
+    grid-symmetry orbit is kept.  The budget bounds the number of subsets
+    up to max_size, and the time limit is checked at every node of the
+    walk.  The output is identical for any worker count.
+    """
+    return [MinimalityReport(ps, True, True, ())
+            for ps, _ in _minimal_sets(grid, max_size, dedup, workers, budget, time_limit)]
 
 
 def minimize_certificate(ps: PointSet, sup_bound: int) -> Certificate:
@@ -246,22 +247,17 @@ def max_weight_survey(grid: GridSpec, max_size: int, *, sup_cap: int = 8,
     """Minimal certificate sup-norm for every minimal non-basic set found.
 
     Rows follow enumerate_minimal order.  A minimal set's least certificate
-    is its primitive circuit vector, so a row's sup-norm is that vector's,
-    or None above sup_cap.  The maximum observed sup-norm and the sets
+    is its primitive circuit vector, so a row's sup-norm is the walk's, or
+    None above sup_cap.  The maximum observed sup-norm and the sets
     witnessing it are reported alongside.
     """
-    reports = enumerate_minimal(grid, max_size, dedup=dedup, workers=workers,
-                                budget=budget, time_limit=time_limit)
-    rows = []
-    for rep in reports:
-        circuit = ratlin.first_circuit(decide.slice_rows(rep.point_set))
-        norm = max(map(abs, ratlin.primitive_integer(list(circuit.values()))))
-        rows.append(SurveyRow(rep.point_set, len(rep.point_set), rep.minimal,
-                              norm if norm <= sup_cap else None))
-    norms = [r.min_sup_norm for r in rows if r.min_sup_norm is not None]
-    max_norm = max(norms) if norms else None
-    witnesses = tuple(r.point_set for r in rows if r.min_sup_norm == max_norm) \
-        if max_norm is not None else ()
+    if sup_cap < 1:
+        raise ValueError(f"sup-norm cap must be at least 1, got {sup_cap}")
+    rows = [SurveyRow(ps, len(ps), True, norm if norm <= sup_cap else None)
+            for ps, norm in _minimal_sets(grid, max_size, dedup, workers, budget, time_limit)]
+    max_norm = max((r.min_sup_norm for r in rows if r.min_sup_norm is not None), default=None)
+    witnesses = () if max_norm is None else tuple(
+        r.point_set for r in rows if r.min_sup_norm == max_norm)
     return Survey(tuple(rows), max_norm, witnesses)
 
 

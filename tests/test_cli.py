@@ -255,6 +255,14 @@ def test_generate_outputs_verify_as_nonbasic(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("offsets", ["a,b", "0,", "1.5"])
+def test_generate_construction_rejects_bad_offsets(capsys, offsets):
+    code, out, err = run_cli(["generate", "construction", "--l", "3",
+                              "--offsets", offsets], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: --offsets takes comma-separated integers, got {offsets!r}\n"
+
+
 def test_search_cube_csv(capsys):
     code, out, _ = run_cli(["search", "--grid", "2", "2", "2", "--max-size", "8"],
                            capsys)
@@ -289,6 +297,19 @@ def test_search_negative_max_size_exit_2(capsys):
     code, _, err = run_cli(["search", "--grid", "2", "2", "2", "--max-size", "-1"], capsys)
     assert code == 2
     assert "max size" in err and "budget" not in err
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--sup-cap", "0", "sup-norm cap must be at least 1, got 0"),
+    ("--sup-cap", "-1", "sup-norm cap must be at least 1, got -1"),
+    ("--time-limit", "-1", "time limit must be at least 0, got -1.0"),
+    ("--time-limit", "nan", "time limit must be at least 0, got nan"),
+    ("--budget", "-1", "budget must be at least 0, got -1")])
+def test_search_rejects_bad_limits_exit_2(capsys, option, value, message):
+    code, out, err = run_cli(["search", "--grid", "2", "2", "2", "--max-size", "4",
+                              option, value], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("workers", ["0", "-2"])

@@ -1,18 +1,18 @@
 import multiprocessing
 import time
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from basicsets.core import PointSet
 from basicsets.decide import NotNonBasic, certificate_valid, is_basic, slice_rows, slice_sums
-from basicsets.ratlin import first_circuit
+from basicsets.ratlin import first_circuit, primitive_integer
 from basicsets.search import (BudgetExceeded, GridSpec, MinimalityReport,
-                              NoneWithinBound, _circuits_from, apply_symmetry, enumerate_minimal,
+                              NoneWithinBound, _circuits_from, enumerate_minimal,
                               grid_symmetries, is_minimal_nonbasic,
                               max_weight_survey, minimize_certificate,
-                              orbit_representative, survey_csv, survey_payload)
+                              survey_csv, survey_payload)
 
 RECTANGLE = [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)]
 EX2 = [(0, 0, 0), (0, 1, 0), (1, 0, 0), (0, 0, 1), (1, 1, 1)]
@@ -66,6 +66,34 @@ def _parent_circuits_from(args):
 
     grow((first,))
     return found
+
+
+def _row_norm(ps):
+    """Reference survey norm: the sup-norm of the primitive first circuit of
+    the set's own rows, eliminated anew."""
+    return max(map(abs, primitive_integer(list(first_circuit(slice_rows(ps)).values()))))
+
+
+def _point_symmetries(grid):
+    """Reference symmetries: (axis permutation, per-axis reversal) pairs."""
+    return [(perm, flips) for perm in permutations(range(3))
+            if tuple(grid.extents[perm[i]] for i in range(3)) == grid.extents
+            for flips in product((False, True), repeat=3)]
+
+
+def _apply_symmetry(points, grid, perm, flips):
+    moved = []
+    for p in points:
+        q = tuple(p[perm[i]] for i in range(3))
+        q = tuple(grid.extents[i] - 1 - q[i] if flips[i] else q[i] for i in range(3))
+        moved.append(q)
+    return tuple(sorted(moved))
+
+
+def _orbit_representative(points, grid):
+    """Reference dedup key: the least sorted point tuple over all symmetries."""
+    return min(_apply_symmetry(points, grid, perm, flips)
+               for perm, flips in _point_symmetries(grid))
 
 
 def _retry_norm(ps, sup_cap):
@@ -132,10 +160,24 @@ def test_circuit_walk_matches_the_per_candidate_elimination(extents, max_size, c
     rows = slice_rows(PointSet.from_points(GridSpec(*extents).points(), dim=3))
     total = 0
     for first in range(len(rows)):
-        found = _circuits_from((rows, first, max_size, None))
+        found = [c for c, _ in _circuits_from((rows, first, max_size, None))]
         assert found == _parent_circuits_from((rows, first, max_size, None))
         total += len(found)
     assert total == circuits
+
+
+@pytest.mark.parametrize("extents, max_size, circuits", [((2, 2, 3), 8, 129),
+                                                         ((3, 3, 2), 6, 804),
+                                                         ((3, 3, 3), 5, 459)],
+                         ids=["223-8", "332-6", "333-5"])
+def test_walk_norms_match_the_per_row_elimination(extents, max_size, circuits):
+    points = GridSpec(*extents).points()
+    rows = slice_rows(PointSet.from_points(points, dim=3))
+    found = [pair for first in range(len(rows))
+             for pair in _circuits_from((rows, first, max_size, None))]
+    assert len(found) == circuits
+    for c, norm in found:
+        assert norm == _row_norm(PointSet.from_points([points[i] for i in c], dim=3))
 
 
 @pytest.mark.parametrize("extents, max_size, sup_cap", [((2, 2, 3), 8, 8),
@@ -222,8 +264,8 @@ def test_symmetry_closure_without_dedup():
     reports = enumerate_minimal(grid, 6)
     found = {r.point_set.points for r in reports}
     for points in found:
-        for perm, flips in grid_symmetries(grid):
-            assert apply_symmetry(points, grid, perm, flips) in found
+        for perm, flips in _point_symmetries(grid):
+            assert _apply_symmetry(points, grid, perm, flips) in found
 
 
 def test_dedup_keeps_one_representative_per_orbit():
@@ -231,8 +273,8 @@ def test_dedup_keeps_one_representative_per_orbit():
     full = enumerate_minimal(grid, 8)
     deduped = enumerate_minimal(grid, 8, dedup=True)
     reps = {r.point_set.points for r in deduped}
-    assert all(points == orbit_representative(points, grid) for points in reps)
-    assert {orbit_representative(r.point_set.points, grid) for r in full} == reps
+    assert all(points == _orbit_representative(points, grid) for points in reps)
+    assert {_orbit_representative(r.point_set.points, grid) for r in full} == reps
     # 12 four-point sets fall into faces and diagonals, 8 five-point into one orbit
     assert len(deduped) == 3
 
@@ -240,10 +282,35 @@ def test_dedup_keeps_one_representative_per_orbit():
 def test_noncubic_grid_symmetries_preserve_the_grid():
     grid = GridSpec(4, 4, 1)
     transforms = grid_symmetries(grid)
-    assert len(transforms) == 16  # x/y swap allowed, z fixed, 8 reflections
-    pts = set(grid.points())
-    for perm, flips in transforms:
-        assert set(apply_symmetry(tuple(pts), grid, perm, flips)) == pts
+    # x/y swap allowed, z fixed, 8 reflections of which the z one moves no point
+    assert len(transforms) == 8 == len(set(transforms))
+    for image in transforms:
+        assert sorted(image) == list(range(len(grid.points())))
+
+
+@pytest.mark.parametrize("extents, count", [((2, 2, 2), 48), ((3, 3, 3), 48), ((4, 4, 1), 8),
+                                            ((3, 2, 2), 16), ((1, 3, 3), 8), ((1, 1, 1), 1)])
+def test_grid_symmetries_are_the_point_symmetries_as_index_maps(extents, count):
+    grid = GridSpec(*extents)
+    points = grid.points()
+    index = {p: i for i, p in enumerate(points)}
+    reference = {tuple(index[q] for q in
+                       (_apply_symmetry([p], grid, perm, flips)[0] for p in points))
+                 for perm, flips in _point_symmetries(grid)}
+    assert set(grid_symmetries(grid)) == reference
+    assert len(grid_symmetries(grid)) == count
+
+
+@pytest.mark.parametrize("extents, max_size", [((2, 2, 2), 8), ((3, 3, 3), 5),
+                                               ((4, 4, 1), 6), ((3, 2, 2), 7)],
+                         ids=["222-8", "333-5", "441-6", "322-7"])
+def test_index_dedup_matches_the_point_orbit_reference(extents, max_size):
+    grid = GridSpec(*extents)
+    full = [r.point_set.points for r in enumerate_minimal(grid, max_size)]
+    deduped = [r.point_set.points for r in enumerate_minimal(grid, max_size, dedup=True)]
+    assert deduped == [points for points in full
+                       if points == _orbit_representative(points, grid)]
+    assert len(deduped) < len(full)
 
 
 def test_minimize_certificate_ex2_bounds():
