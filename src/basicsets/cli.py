@@ -1,13 +1,14 @@
 """Command-line front door.
 
 Exit codes: 0 basic / success, 1 non-basic / witness / unsolvable,
-2 input error, 3 search budget exceeded.  All rationals print as p/q
-strings, never floats; --json emits machine-readable reports that validate
-against the shipped schema.json.
+2 input error, 3 search budget exceeded, 141 stdout closed by its reader.
+All rationals print as p/q strings, never floats; --json emits
+machine-readable reports that validate against the shipped schema.json.
 """
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -334,11 +335,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _discard_stdout() -> None:
+    """Send what is left of stdout to the null device, so that the flush at
+    interpreter exit does not fail on the closed pipe again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # not a file descriptor, e.g. an in-process StringIO
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away: end quietly, as a process killed by SIGPIPE.
+        _discard_stdout()
+        return 141
     except search.BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

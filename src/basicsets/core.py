@@ -8,7 +8,6 @@ is exact and bounded.
 """
 
 import json
-from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
@@ -60,8 +59,46 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class PointSet:
+_set = object.__setattr__
+
+
+class Record:
+    """Immutable value record; a subclass names its fields in `__slots__`.
+
+    Records compare equal when they have the same type and equal fields,
+    hash and print by their fields, refuse assignment and deletion, and
+    pickle and copy through their constructor.  A subclass's `__init__`
+    checks its arguments and stores each field with `_set`.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable record")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable record")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class PointSet(Record):
     """Finite set of lattice points plus per-axis tables of occurring values.
 
     `points` is sorted lexicographically; that order fixes point indices in
@@ -69,9 +106,13 @@ class PointSet:
     are reproducible byte for byte.
     """
 
-    dim: int
-    points: tuple[Point, ...]
-    values: tuple[tuple[int, ...], ...]
+    __slots__ = ("dim", "points", "values")
+
+    def __init__(self, dim: int, points: tuple[Point, ...],
+                 values: tuple[tuple[int, ...], ...]):
+        _set(self, "dim", dim)
+        _set(self, "points", points)
+        _set(self, "values", values)
 
     @classmethod
     def from_points(cls, pts: Iterable[Sequence[int]], dim: int | None = None) -> "PointSet":

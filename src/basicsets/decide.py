@@ -9,13 +9,12 @@ over every slice is zero.
 """
 
 import heapq
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
 from typing import Mapping, NamedTuple
 
-from .core import Point, PointSet, SliceId, axes_for, slices_of
+from .core import Point, PointSet, Record, SliceId, _set, axes_for, slices_of
 from . import ratlin
 from .ratlin import RatMatrix, Unsolvable
 
@@ -35,49 +34,53 @@ class SliceMatrix(NamedTuple):
     columns: tuple[SliceId, ...]
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """Nonzero primitive integer weights per point, in canonical point order.
 
     Valid for a set when the weights of the points in every slice sum to
     exactly zero; see certificate_valid.
     """
 
-    weights: tuple[int, ...]
+    __slots__ = ("weights",)
 
-    def __post_init__(self):
-        if not any(self.weights):
+    def __init__(self, weights: tuple[int, ...]):
+        if not any(weights):
             raise ValueError("certificate weights must not all be zero")
-        if gcd(*self.weights) != 1:
+        if gcd(*weights) != 1:
             raise ValueError("certificate weights must have gcd 1")
+        _set(self, "weights", weights)
 
     @property
     def sup_norm(self) -> int:
         return max(abs(w) for w in self.weights)
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """Proof that one particular function is not decomposable.
 
     The certificate pairs to a nonzero value against the function, which is
     impossible for any sum of per-axis functions.
     """
 
-    certificate: Certificate
-    pairing: Fraction
+    __slots__ = ("certificate", "pairing")
+
+    def __init__(self, certificate: Certificate, pairing: Fraction):
+        _set(self, "certificate", certificate)
+        _set(self, "pairing", pairing)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    basic: bool
-    certificate: Certificate | None = None
+class Verdict(Record):
+    """Basic, or non-basic with the certificate that proves it."""
 
-    def __post_init__(self):
-        if self.basic and self.certificate is not None:
+    __slots__ = ("basic", "certificate")
+
+    def __init__(self, basic: bool, certificate: Certificate | None = None):
+        if basic and certificate is not None:
             raise ValueError("a basic verdict carries no certificate")
-        if not self.basic and self.certificate is None:
+        if not basic and certificate is None:
             raise ValueError("a non-basic verdict requires a certificate")
+        _set(self, "basic", basic)
+        _set(self, "certificate", certificate)
 
     @property
     def kind(self) -> str:
@@ -97,11 +100,13 @@ class InvalidColoring(NamedTuple):
     white: int
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """One exact value table per axis; tables[a][v] is the a-th summand at v."""
 
-    tables: tuple[dict[int, Fraction], ...]
+    __slots__ = ("tables",)
+
+    def __init__(self, tables: tuple[dict[int, Fraction], ...]):
+        _set(self, "tables", tables)
 
     def value_at(self, point: Point) -> Fraction:
         return sum((self.tables[a][point[a]] for a in range(len(self.tables))), Fraction(0))
@@ -179,18 +184,6 @@ def decompose(ps: PointSet, f: Mapping[Point, Fraction | int]) -> Decomposition 
     for (sid, _), xv in zip(slices, x):
         tables[sid.axis][sid.value] = xv
     return Decomposition(tables)
-
-
-def indicator_witness(ps: PointSet, cert: Certificate) -> dict[Point, Fraction]:
-    """Indicator of the first point with nonzero weight.
-
-    By construction the certificate pairs with it to that weight, which is
-    nonzero, so decompose() on the result returns a Witness.
-    """
-    if len(cert.weights) != len(ps):
-        raise DomainMismatch(f"certificate has {len(cert.weights)} weights for {len(ps)} points")
-    target = ps.points[next(i for i, w in enumerate(cert.weights) if w)]
-    return {p: Fraction(1 if p == target else 0) for p in ps.points}
 
 
 def peel(ps: PointSet) -> tuple[list[Point], PointSet]:

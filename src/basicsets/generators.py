@@ -10,10 +10,9 @@ non-basic sets in space.
 
 import random
 from collections import deque
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
-from .core import Point, PointSet, SliceId, Axis, axes_for
+from .core import Point, PointSet, Record, SliceId, Axis, _set, axes_for
 from . import decide, ratlin
 from .decide import Certificate, Color, NotNonBasic, Verdict
 
@@ -80,17 +79,17 @@ def is_lightning(slice_id: SliceId, pts: Sequence[Point]) -> LightningShape:
     return LightningShape(True, closed, simple)
 
 
-@dataclass(frozen=True)
-class ClosedLightning:
+class ClosedLightning(Record):
     """Lightning of length 2l+1 whose last point closes on the first."""
 
-    slice_id: SliceId
-    points: tuple[Point, ...]
+    __slots__ = ("slice_id", "points")
 
-    def __post_init__(self):
-        shape = is_lightning(self.slice_id, self.points)
+    def __init__(self, slice_id: SliceId, points: tuple[Point, ...]):
+        shape = is_lightning(slice_id, points)
         if not (shape.lightning and shape.closed):
             raise ValueError("sequence is not a closed lightning")
+        _set(self, "slice_id", slice_id)
+        _set(self, "points", points)
 
     @property
     def simple(self) -> bool:

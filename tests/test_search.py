@@ -1,6 +1,8 @@
 import multiprocessing
 import time
+from collections import Counter
 from itertools import combinations, permutations, product
+from math import comb, factorial
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -401,6 +403,27 @@ def test_survey_planar_grid_finds_only_closed_lightnings():
     for row in survey.rows:
         assert row.min_sup_norm == 1
         assert _is_closed_lightning_vertex_set(row.point_set.points)
+
+
+def _bipartite_cycles(n, m, k):
+    """Cycles of length 2k in the complete bipartite graph K_{n,m}."""
+    return comb(n, k) * comb(m, k) * factorial(k) * factorial(k - 1) // 2
+
+
+@pytest.mark.parametrize("n, m, max_size, by_size", [
+    (3, 3, 6, {4: 9, 6: 6}),
+    (4, 4, 8, {4: 36, 6: 96, 8: 72}),
+    (3, 5, 6, {4: 30, 6: 60}),
+    (2, 5, 4, {4: 10}),
+])
+def test_survey_planar_grid_finds_every_cycle_of_the_bipartite_graph(n, m, max_size, by_size):
+    # on an n x m x 1 grid the circuits are the cycles of K_{n,m}, x values
+    # on one side and y values on the other, each with sup-norm 1
+    assert by_size == {2 * k: _bipartite_cycles(n, m, k)
+                       for k in range(2, min(n, m, max_size // 2) + 1)}
+    survey = max_weight_survey(GridSpec(n, m, 1), max_size)
+    assert Counter(row.size for row in survey.rows) == by_size
+    assert {row.min_sup_norm for row in survey.rows} == {1}
 
 
 def test_survey_empty_grid():
