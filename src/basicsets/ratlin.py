@@ -178,7 +178,7 @@ def solve(m: RatMatrix, b: Sequence[Rat | int]) -> list[Fraction]:
 
 def _combine(u: dict[int, int], s: int, v: Mapping[int, int], t: int) -> dict[int, int]:
     # s*u + t*v over sparse {key: int} vectors, zeros dropped.
-    out = {k: s * x for k, x in u.items()}
+    out = dict(u) if s == 1 else {k: s * x for k, x in u.items()}
     for k, x in v.items():
         y = out.get(k, 0) + t * x
         if y:
@@ -202,10 +202,14 @@ def _reduce(echelon: Mapping[int, tuple[dict[int, int], dict[int, int]]],
         s, t = pivot_row[lead] // g, -vec[lead] // g
         vec = _combine(vec, s, pivot_row, t)
         tag = _combine(tag, s, pivot_tag, t)
-        content = gcd(*vec.values(), *tag.values())
-        if content != 1:
-            vec = {c: x // content for c, x in vec.items()}
-            tag = {i: x // content for i, x in tag.items()}
+        # Pivot tags never hold `index`, so tag[index] stays nonzero, and the
+        # content divides it: where it is a unit the content is 1, and the
+        # gcd is skipped.
+        if tag[index] not in (1, -1):
+            content = gcd(*vec.values(), *tag.values())
+            if content != 1:
+                vec = {c: x // content for c, x in vec.items()}
+                tag = {i: x // content for i, x in tag.items()}
     return vec, tag
 
 

@@ -18,7 +18,7 @@ import io
 import time
 from fractions import Fraction
 from itertools import permutations, product
-from math import comb
+from math import comb, gcd
 from typing import NamedTuple
 
 from .core import Point, PointSet, Record, _set
@@ -44,7 +44,7 @@ class GridSpec(Record):
 
     def __init__(self, nx: int, ny: int, nz: int):
         if min(nx, ny, nz) < 1:
-            raise ValueError("grid extents must be positive")
+            raise ValueError(f"grid extents must be positive, got {nx} {ny} {nz}")
         _set(self, "nx", nx)
         _set(self, "ny", ny)
         _set(self, "nz", nz)
@@ -107,8 +107,8 @@ def _circuits_from(args) -> list[tuple[tuple[int, ...], int]]:
                 if len(path) + 1 < max_size:
                     grow(path + (j,), {**echelon, min(vec): (vec, tag)})
             elif len(tag) == len(path) + 1:
-                norm = max(map(abs, ratlin.primitive_integer(list(tag.values()))))
-                found.append((path + (j,), norm))
+                w = tag.values()
+                found.append((path + (j,), max(map(abs, w)) // gcd(*w)))
 
     vec, tag = ratlin._reduce({}, rows[first], first)
     grow((first,), {min(vec): (vec, tag)})

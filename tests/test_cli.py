@@ -315,6 +315,13 @@ def test_search_rejects_bad_limits_exit_2(capsys, option, value, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("grid", [["0", "1", "1"], ["3", "-2", "3"]])
+def test_search_names_bad_grid_extents_exit_2(capsys, grid):
+    code, out, err = run_cli(["search", "--grid", *grid, "--max-size", "3"], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: grid extents must be positive, got {' '.join(grid)}\n"
+
+
 @pytest.mark.parametrize("workers", ["0", "-2"])
 def test_search_rejects_worker_count_below_one(capsys, workers):
     code, _, err = run_cli(["search", "--grid", "2", "2", "2", "--max-size", "4",

@@ -5,8 +5,10 @@ from itertools import product
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from basicsets.core import PointSet
+from basicsets.decide import slice_rows
 from basicsets.ratlin import (RatMatrix, Unsolvable, ZeroVector, _reduce, circuits,
                               column_solve, dot, first_circuit, kernel_basis,
                               primitive_integer, rank, rref, solve)
@@ -219,15 +221,17 @@ def test_circuits_are_the_canonical_kernel_basis_in_order(rows):
     assert scaled == kernel
 
 
-def _parent_circuits(rows):
-    """Reference: the elimination loop with its reduction step written inline."""
+def _reference_echelon(rows):
+    """Reference: the elimination loop with its reduction step written inline,
+    dividing by the content after every step.  Returns the echelon of the
+    independent rows and the tags of the dependent ones, in order."""
     def combine(u, s, v, t):
         out = {k: s * x for k, x in u.items()}
         for k, x in v.items():
             out[k] = out.get(k, 0) + t * x
         return {k: x for k, x in out.items() if x}
 
-    echelon = {}
+    echelon, found = {}, []
     for index, row in enumerate(rows):
         vec = {c: x for c, x in row.items() if x}
         tag = {index: 1}
@@ -243,25 +247,47 @@ def _parent_circuits(rows):
         if vec:
             echelon[lead] = (vec, tag)
         else:
-            yield tag
+            found.append(tag)
+    return echelon, found
+
+
+def _echelon(rows):
+    """The echelon that circuits builds: _reduce on each row, in order."""
+    echelon = {}
+    for index, row in enumerate(rows):
+        vec, tag = _reduce(echelon, row, index)
+        if vec:
+            echelon[min(vec)] = (vec, tag)
+    return echelon
 
 
 sparse_rows = st.lists(st.dictionaries(st.integers(0, 6), st.integers(-6, 6), max_size=4),
                        max_size=10)
+# the 27 point rows of the 3x3x3 grid's slice matrix, 0/1 over 9 slices
+GRID333_ROWS = slice_rows(PointSet.from_points(list(product(range(3), repeat=3)), dim=3))
 
 
 @given(sparse_rows)
 def test_circuits_match_the_inline_elimination_loop(rows):
-    assert list(circuits(rows)) == list(_parent_circuits(rows))
+    assert list(circuits(rows)) == _reference_echelon(rows)[1]
+
+
+@given(st.one_of(sparse_rows, st.permutations(GRID333_ROWS),
+                 st.lists(st.sampled_from(GRID333_ROWS), max_size=12)))
+# row 2 meets the second pivot with multiplier 1 while its own tag entry is
+# 5, and the step leaves content 5: a content test keyed on the multiplier
+# would keep it
+@example([{1: 5, 2: -3}, {1: 1, 3: 1}, {1: 2}])
+def test_echelon_rows_and_tags_match_the_inline_elimination_loop(rows):
+    # every stored (residual, tag), not only the circuits, is the always-gcd
+    # reference's; on the 0/1 grid rows a skipped division may never show, so
+    # the survey digest alone cannot catch a wrong content shortcut
+    assert _echelon(rows) == _reference_echelon(rows)[0]
 
 
 @given(sparse_rows, st.dictionaries(st.integers(0, 6), st.integers(-6, 6), max_size=4))
 def test_reduce_leaves_the_echelon_unchanged(rows, row):
-    echelon = {}
-    for index, stored in enumerate(rows):
-        vec, tag = _reduce(echelon, stored, index)
-        if vec:
-            echelon[min(vec)] = (vec, tag)
+    echelon = _echelon(rows)
     before = copy.deepcopy(echelon)
     _reduce(echelon, row, len(rows))
     assert echelon == before

@@ -110,8 +110,8 @@ def test_decomposition_compares_its_tables_and_is_unhashable():
     (lambda: Certificate((2, -2, 4)), "must have gcd 1"),
     (lambda: Verdict(True, Certificate((1, -1))), "a basic verdict carries no certificate"),
     (lambda: Verdict(False), "a non-basic verdict requires a certificate"),
-    (lambda: GridSpec(0, 3, 3), "grid extents must be positive"),
-    (lambda: GridSpec(3, 3, -1), "grid extents must be positive"),
+    (lambda: GridSpec(0, 3, 3), "grid extents must be positive, got 0 3 3"),
+    (lambda: GridSpec(3, 3, -1), "grid extents must be positive, got 3 3 -1"),
     (lambda: ClosedLightning(SliceId(Axis.Z, 0), SQUARE[:-1]),
      "sequence is not a closed lightning"),
 ])

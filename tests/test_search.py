@@ -426,6 +426,17 @@ def test_survey_planar_grid_finds_every_cycle_of_the_bipartite_graph(n, m, max_s
     assert {row.min_sup_norm for row in survey.rows} == {1}
 
 
+@pytest.mark.parametrize("dedup, by_size, by_norm", [
+    (False, {4: 243, 5: 216, 6: 4248}, {1: 3681, 2: 1026}),
+    (True, {4: 14, 5: 10, 6: 117}, {1: 109, 2: 32}),
+])
+def test_survey_pins_the_cube_census_up_to_six_points(dedup, by_size, by_norm):
+    # 4,707 circuits of the 3x3x3 grid up to 6 points, in 141 symmetry orbits
+    survey = max_weight_survey(GridSpec(3, 3, 3), 6, dedup=dedup)
+    assert Counter(row.size for row in survey.rows) == by_size
+    assert Counter(row.min_sup_norm for row in survey.rows) == by_norm
+
+
 def test_survey_empty_grid():
     survey = max_weight_survey(GridSpec(1, 1, 1), 2)
     assert survey.rows == () and survey.max_sup_norm is None
