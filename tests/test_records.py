@@ -110,14 +110,21 @@ def test_decomposition_compares_its_tables_and_is_unhashable():
     (lambda: Certificate((2, -2, 4)), "must have gcd 1"),
     (lambda: Verdict(True, Certificate((1, -1))), "a basic verdict carries no certificate"),
     (lambda: Verdict(False), "a non-basic verdict requires a certificate"),
-    (lambda: GridSpec(0, 3, 3), "grid extents must be positive, got 0 3 3"),
-    (lambda: GridSpec(3, 3, -1), "grid extents must be positive, got 3 3 -1"),
+    (lambda: GridSpec(0, 3, 3), "grid extents must be positive"),
+    (lambda: GridSpec(3, 3, -1), "grid extents must be positive"),
     (lambda: ClosedLightning(SliceId(Axis.Z, 0), SQUARE[:-1]),
      "sequence is not a closed lightning"),
 ])
 def test_constructors_check_their_fields(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+@pytest.mark.parametrize("extents", [(0, 3, 3), (3, 3, -1)])
+def test_grid_spec_names_the_bad_extents(extents):
+    with pytest.raises(ValueError) as caught:
+        GridSpec(*extents)
+    assert str(caught.value) == "grid extents must be positive, got " + " ".join(map(str, extents))
 
 
 def test_the_library_import_loads_no_dataclasses():
